@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -537,5 +538,33 @@ func TestStudyFreeConvectionBoard(t *testing.T) {
 	}
 	if rep.Level3.WorstC <= rep.Level2.MeanBoardC {
 		t.Error("junctions must ride above the board")
+	}
+}
+
+func TestStudyBitwiseReproducible(t *testing.T) {
+	// The same design must give the same bits every time: level 3 seeds
+	// its network from a sum over the fixed nodes, which must not follow
+	// map iteration order, and the detailed modal pass must not depend on
+	// anything but its inputs.  %v prints each float64 in its shortest
+	// round-trip form, so equal strings mean equal bits.
+	var want3, wantMech string
+	for run := 0; run < 16; run++ {
+		b := goodBoard()
+		b.DetailedMech = true
+		rep, err := Study(b, testScreen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got3, gotMech := fmt.Sprintf("%v", *rep.Level3), fmt.Sprintf("%v", *rep.Mech)
+		if run == 0 {
+			want3, wantMech = got3, gotMech
+			continue
+		}
+		if got3 != want3 {
+			t.Fatalf("run %d level 3 differs:\n got %s\nwant %s", run, got3, want3)
+		}
+		if gotMech != wantMech {
+			t.Fatalf("run %d mechanical pass differs:\n got %s\nwant %s", run, gotMech, wantMech)
+		}
 	}
 }

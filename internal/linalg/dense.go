@@ -226,9 +226,9 @@ func FactorCholesky(a *Dense) (*Cholesky, error) {
 	n := a.Rows
 	l := NewDense(n, n)
 	for j := 0; j < n; j++ {
+		lj := l.Data[j*n : j*n+j]
 		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			v := l.At(j, k)
+		for _, v := range lj {
 			d -= v * v
 		}
 		if d <= 0 {
@@ -237,9 +237,10 @@ func FactorCholesky(a *Dense) (*Cholesky, error) {
 		ljj := math.Sqrt(d)
 		l.Set(j, j, ljj)
 		for i := j + 1; i < n; i++ {
+			li := l.Data[i*n : i*n+j]
 			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+			for k, v := range li {
+				s -= v * lj[k]
 			}
 			l.Set(i, j, s/ljj)
 		}
@@ -276,34 +277,6 @@ func (c *Cholesky) Solve(b []float64) []float64 {
 
 // L returns the lower-triangular factor.
 func (c *Cholesky) L() *Dense { return c.l }
-
-// SolveLowerTri solves L·x = b for lower-triangular L.
-func SolveLowerTri(l *Dense, b []float64) []float64 {
-	n := l.Rows
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for j := 0; j < i; j++ {
-			s -= l.At(i, j) * x[j]
-		}
-		x[i] = s / l.At(i, i)
-	}
-	return x
-}
-
-// SolveUpperTriT solves Lᵀ·x = b for lower-triangular L.
-func SolveUpperTriT(l *Dense, b []float64) []float64 {
-	n := l.Rows
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= l.At(j, i) * x[j]
-		}
-		x[i] = s / l.At(i, i)
-	}
-	return x
-}
 
 // Vector helpers.
 

@@ -299,7 +299,8 @@ func (l *Loader) parseDirUncached(dir string) ([]*ast.File, error) {
 
 // PackageDirs walks the subtree at start (inside the module) and returns
 // every directory holding non-test Go files, skipping testdata, vendor
-// and hidden directories.
+// and hidden directories and, as `go list ./...` does, nested modules
+// (subdirectories with their own go.mod).
 func (l *Loader) PackageDirs(start string) ([]string, error) {
 	start, err := filepath.Abs(start)
 	if err != nil {
@@ -314,6 +315,11 @@ func (l *Loader) PackageDirs(start string) ([]string, error) {
 			name := d.Name()
 			if path != start && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
+			}
+			if path != start {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			return nil
 		}

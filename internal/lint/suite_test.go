@@ -312,3 +312,23 @@ func TestRunModuleAudit(t *testing.T) {
 		}
 	}
 }
+
+// TestRunModuleSkipsNestedModules checks that ./... stops at a
+// subdirectory with its own go.mod, as the go command does: that tree is
+// another module, built and checked on its own.
+func TestRunModuleSkipsNestedModules(t *testing.T) {
+	trip := "package %s\n\n// Offset trips unitsafety.\nfunc Offset(c float64) float64 { return c + 273.15 }\n"
+	root := writeTempModule(t, map[string]string{
+		"pkg/pkg.go":      strings.ReplaceAll(trip, "%s", "pkg"),
+		"tool/go.mod":     "module tool\n\ngo 1.22\n",
+		"tool/main.go":    strings.ReplaceAll(trip, "%s", "main"),
+		"tool/sub/sub.go": strings.ReplaceAll(trip, "%s", "sub"),
+	})
+	res, err := RunModule(ModuleOptions{Dir: root, Patterns: []string{"./..."}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Findings) != 1 || filepath.ToSlash(res.Findings[0].Pos.Filename) != "pkg/pkg.go" {
+		t.Errorf("findings = %v, want only the pkg/pkg.go hit", res.Findings)
+	}
+}

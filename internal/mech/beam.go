@@ -136,7 +136,7 @@ func (b *Beam) ModalFrequencies(nModes int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	vals, _, err := linalg.EigenGeneral(kr, mr, 1e-11, 300)
+	vals, err := linalg.EigenGeneralValues(kr, mr)
 	if err != nil {
 		return nil, err
 	}

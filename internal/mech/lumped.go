@@ -152,7 +152,7 @@ func (s *Lumped) Modal() ([]Mode, error) {
 	if err != nil {
 		return nil, err
 	}
-	vals, vecs, err := linalg.EigenGeneral(k, m, 1e-12, 200)
+	vals, vecs, err := linalg.EigenGeneral(k, m)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func (b *Beam) BaseModes(nModes int) ([]DistMode, error) {
 	if err != nil {
 		return nil, err
 	}
-	vals, vecs, err := linalg.EigenGeneral(kr, mr, 1e-11, 300)
+	vals, vecs, err := linalg.EigenGeneral(kr, mr)
 	if err != nil {
 		return nil, err
 	}

@@ -60,9 +60,8 @@ func NewPlateFEM(a, b, thickness float64, mat materials.Material, nx, ny int) (*
 func acmElement(ax, by, d, nu, rhoH float64) (k, m [12][12]float64) {
 	// Shape functions in natural coords ξ,η ∈ [−1,1] for nodes
 	// (−1,−1), (1,−1), (1,1), (−1,1); per node: (w, θx, θy).
-	// ACM polynomial basis: the standard 12-term set.
-	type shapeFn func(xi, eta float64) (n [12]float64)
-	// Hermite-style products.
+	// ACM polynomial basis: the standard 12-term set of Hermite-style
+	// products.
 	nfunc := func(xi, eta float64) (n [12]float64) {
 		xs := []float64{-1, 1, 1, -1}
 		es := []float64{-1, -1, 1, 1}
@@ -76,7 +75,6 @@ func acmElement(ax, by, d, nu, rhoH float64) (k, m [12][12]float64) {
 		}
 		return n
 	}
-	var _ shapeFn = nfunc
 
 	// Numerical second derivatives of the shape functions via central
 	// differences in natural coordinates (the basis is polynomial, so a
@@ -123,55 +121,17 @@ func acmElement(ax, by, d, nu, rhoH float64) (k, m [12][12]float64) {
 	return k, m
 }
 
-// assemble builds the constrained global matrices.
-func (p *PlateFEM) assemble() (*linalg.Dense, *linalg.Dense, error) {
+// assemble builds the stiffness and mass matrices over the retained
+// (unconstrained) DOFs, scattering element and point-mass contributions
+// straight into them, and returns keep, the global DOF of each retained
+// row.
+func (p *PlateFEM) assemble() (kr, mr *linalg.Dense, keep []int, err error) {
 	nnx, nny := p.Nx+1, p.Ny+1
 	ndof := 3 * nnx * nny
-	kG := linalg.NewDense(ndof, ndof)
-	mG := linalg.NewDense(ndof, ndof)
-	ax := p.A / float64(p.Nx) / 2
-	by := p.B / float64(p.Ny) / 2
-	h := p.Thickness
-	d := p.Material.E * h * h * h / (12 * (1 - p.Material.Nu*p.Material.Nu))
-	rhoH := p.Material.Rho*h + p.MassLoadKgM2
-	ke, me := acmElement(ax, by, d, p.Material.Nu, rhoH)
-
 	nodeID := func(i, j int) int { return j*nnx + i }
-	for ej := 0; ej < p.Ny; ej++ {
-		for ei := 0; ei < p.Nx; ei++ {
-			nodes := [4]int{
-				nodeID(ei, ej), nodeID(ei+1, ej),
-				nodeID(ei+1, ej+1), nodeID(ei, ej+1),
-			}
-			for a := 0; a < 4; a++ {
-				for da := 0; da < 3; da++ {
-					ga := 3*nodes[a] + da
-					for b := 0; b < 4; b++ {
-						for db := 0; db < 3; db++ {
-							gb := 3*nodes[b] + db
-							kG.Add(ga, gb, ke[3*a+da][3*b+db])
-							mG.Add(ga, gb, me[3*a+da][3*b+db])
-						}
-					}
-				}
-			}
-		}
-	}
-	// Point masses on the w-DOF of the nearest node.
-	for _, pm := range p.PointMasses {
-		if pm.Kg <= 0 {
-			return nil, nil, fmt.Errorf("mech: point mass must be positive")
-		}
-		if pm.X < 0 || pm.X > p.A || pm.Y < 0 || pm.Y > p.B {
-			return nil, nil, fmt.Errorf("mech: point mass at (%g,%g) off plate", pm.X, pm.Y)
-		}
-		i := int(math.Round(pm.X / p.A * float64(p.Nx)))
-		j := int(math.Round(pm.Y / p.B * float64(p.Ny)))
-		mG.Add(3*nodeID(i, j), 3*nodeID(i, j), pm.Kg)
-	}
 
 	// Boundary conditions: edge order x-, x+, y-, y+.
-	fixed := map[int]bool{}
+	fixed := make([]bool, ndof)
 	mark := func(i, j, edge int) {
 		id := nodeID(i, j)
 		if p.EdgesSupported[edge] || p.EdgesClamped[edge] {
@@ -190,33 +150,80 @@ func (p *PlateFEM) assemble() (*linalg.Dense, *linalg.Dense, error) {
 		mark(i, 0, 2)
 		mark(i, nny-1, 3)
 	}
-	if len(fixed) == 0 {
-		return nil, nil, fmt.Errorf("mech: free-free plates not supported (no constrained DOF)")
-	}
-	keep := make([]int, 0, ndof)
+	// red maps a global DOF to its retained row, or −1 when constrained.
+	red := make([]int, ndof)
+	keep = make([]int, 0, ndof)
 	for dd := 0; dd < ndof; dd++ {
+		red[dd] = -1
 		if !fixed[dd] {
+			red[dd] = len(keep)
 			keep = append(keep, dd)
 		}
 	}
-	kr := linalg.NewDense(len(keep), len(keep))
-	mr := linalg.NewDense(len(keep), len(keep))
-	for i, di := range keep {
-		for j, dj := range keep {
-			kr.Set(i, j, kG.At(di, dj))
-			mr.Set(i, j, mG.At(di, dj))
+
+	ax := p.A / float64(p.Nx) / 2
+	by := p.B / float64(p.Ny) / 2
+	h := p.Thickness
+	d := p.Material.E * h * h * h / (12 * (1 - p.Material.Nu*p.Material.Nu))
+	rhoH := p.Material.Rho*h + p.MassLoadKgM2
+	ke, me := acmElement(ax, by, d, p.Material.Nu, rhoH)
+
+	kr = linalg.NewDense(len(keep), len(keep))
+	mr = linalg.NewDense(len(keep), len(keep))
+	for ej := 0; ej < p.Ny; ej++ {
+		for ei := 0; ei < p.Nx; ei++ {
+			nodes := [4]int{
+				nodeID(ei, ej), nodeID(ei+1, ej),
+				nodeID(ei+1, ej+1), nodeID(ei, ej+1),
+			}
+			for a := 0; a < 4; a++ {
+				for da := 0; da < 3; da++ {
+					ra := red[3*nodes[a]+da]
+					if ra < 0 {
+						continue
+					}
+					for b := 0; b < 4; b++ {
+						for db := 0; db < 3; db++ {
+							rb := red[3*nodes[b]+db]
+							if rb < 0 {
+								continue
+							}
+							kr.Add(ra, rb, ke[3*a+da][3*b+db])
+							mr.Add(ra, rb, me[3*a+da][3*b+db])
+						}
+					}
+				}
+			}
 		}
 	}
-	return kr, mr, nil
+	// Point masses on the w-DOF of the nearest node; one on a supported
+	// node moves nothing.
+	for _, pm := range p.PointMasses {
+		if pm.Kg <= 0 {
+			return nil, nil, nil, fmt.Errorf("mech: point mass must be positive")
+		}
+		if pm.X < 0 || pm.X > p.A || pm.Y < 0 || pm.Y > p.B {
+			return nil, nil, nil, fmt.Errorf("mech: point mass at (%g,%g) off plate", pm.X, pm.Y)
+		}
+		i := int(math.Round(pm.X / p.A * float64(p.Nx)))
+		j := int(math.Round(pm.Y / p.B * float64(p.Ny)))
+		if r := red[3*nodeID(i, j)]; r >= 0 {
+			mr.Add(r, r, pm.Kg)
+		}
+	}
+	if len(keep) == ndof {
+		return nil, nil, nil, fmt.Errorf("mech: free-free plates not supported (no constrained DOF)")
+	}
+	return kr, mr, keep, nil
 }
 
 // ModalFrequencies returns the first nModes natural frequencies in Hz.
 func (p *PlateFEM) ModalFrequencies(nModes int) ([]float64, error) {
-	kr, mr, err := p.assemble()
+	kr, mr, _, err := p.assemble()
 	if err != nil {
 		return nil, err
 	}
-	vals, _, err := linalg.EigenGeneral(kr, mr, 1e-10, 300)
+	vals, err := linalg.EigenGeneralValues(kr, mr)
 	if err != nil {
 		return nil, err
 	}
@@ -250,11 +257,11 @@ func (p *PlateFEM) FundamentalHz() (float64, error) {
 // (Nx+1)×(Ny+1) flattened) with participation factors — the input
 // vibration.DistributedRandomRMS needs for full-board random response.
 func (p *PlateFEM) BaseModes(nModes int) ([]DistMode, error) {
-	kr, mr, keep, err := p.assembleWithMap()
+	kr, mr, keep, err := p.assemble()
 	if err != nil {
 		return nil, err
 	}
-	vals, vecs, err := linalg.EigenGeneral(kr, mr, 1e-10, 300)
+	vals, vecs, err := linalg.EigenGeneral(kr, mr)
 	if err != nil {
 		return nil, err
 	}
@@ -294,43 +301,4 @@ func (p *PlateFEM) BaseModes(nModes int) ([]DistMode, error) {
 		})
 	}
 	return out, nil
-}
-
-// assembleWithMap mirrors assemble but also returns the retained-DOF map.
-func (p *PlateFEM) assembleWithMap() (*linalg.Dense, *linalg.Dense, []int, error) {
-	// Reproduce assemble's constraint logic while capturing `keep`.
-	kr, mr, err := p.assemble()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// Rebuild the keep map the same way assemble does.
-	nnx, nny := p.Nx+1, p.Ny+1
-	ndof := 3 * nnx * nny
-	nodeID := func(i, j int) int { return j*nnx + i }
-	fixed := map[int]bool{}
-	mark := func(i, j, edge int) {
-		id := nodeID(i, j)
-		if p.EdgesSupported[edge] || p.EdgesClamped[edge] {
-			fixed[3*id] = true
-		}
-		if p.EdgesClamped[edge] {
-			fixed[3*id+1] = true
-			fixed[3*id+2] = true
-		}
-	}
-	for j := 0; j < nny; j++ {
-		mark(0, j, 0)
-		mark(nnx-1, j, 1)
-	}
-	for i := 0; i < nnx; i++ {
-		mark(i, 0, 2)
-		mark(i, nny-1, 3)
-	}
-	keep := make([]int, 0, ndof)
-	for d := 0; d < ndof; d++ {
-		if !fixed[d] {
-			keep = append(keep, d)
-		}
-	}
-	return kr, mr, keep, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"aeropack/internal/linalg"
 	"aeropack/internal/materials"
 	"aeropack/internal/units"
 )
@@ -234,5 +235,63 @@ func TestPlateFEMRandomResponseIntegration(t *testing.T) {
 	amp := math.Abs(modes[0].Participation * modes[0].Shape[3*nnx+3])
 	if amp < 1.3 || amp > 1.95 {
 		t.Errorf("plate mode-1 amplification = %v, want ≈1.62", amp)
+	}
+}
+
+func TestPlateFEMSquareDegenerateModes(t *testing.T) {
+	// A square simply supported plate has the (2,1) and (1,2) modes at
+	// one frequency.  The eigensolver must return the tie as a tie and
+	// still hand back two M-orthonormal shapes that span it.  The element
+	// matrices come from finite-difference curvatures (round-off ≈ ε/h²),
+	// which already split the pair by ≈6e-9 relative in the model itself.
+	p, err := NewPlateFEM(0.1, 0.1, 1.6e-3, materials.FR4, 6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := p.ModalFrequencies(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel := (fs[2] - fs[1]) / fs[1]; rel > 1e-7 {
+		t.Errorf("modes 2/3 = %v, %v Hz should be degenerate (rel gap %.2g)", fs[1], fs[2], rel)
+	}
+	if fs[3] < 1.5*fs[2] {
+		t.Errorf("mode 4 %v Hz should sit well above the degenerate pair %v Hz", fs[3], fs[2])
+	}
+	kr, mr, _, err := p.assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, vecs, err := linalg.EigenGeneral(kr, mr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := kr.Rows
+	col := func(j int) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = vecs.At(i, j)
+		}
+		return x
+	}
+	for i := 0; i < 4; i++ {
+		xi := col(i)
+		kx, mx := kr.MulVec(xi), mr.MulVec(xi)
+		res := 0.0
+		for r := range kx {
+			res = math.Max(res, math.Abs(kx[r]-vals[i]*mx[r]))
+		}
+		if res > 1e-9*vals[i]*linalg.NormInf(mx) {
+			t.Errorf("mode %d residual %g", i+1, res)
+		}
+		for j := 0; j <= i; j++ {
+			want := 0.0
+			if i == j {
+				want = 1
+			}
+			if got := linalg.Dot(col(j), mx); math.Abs(got-want) > 1e-10 {
+				t.Errorf("x%dᵀ·M·x%d = %v, want %v", j+1, i+1, got, want)
+			}
+		}
 	}
 }
