@@ -30,6 +30,9 @@
 //
 // Arguments are package directories; a trailing /... lints the whole
 // subtree.  With no arguments the current directory's subtree is linted.
+// -list prints the registered rules, -rules a,b restricts the run and -q
+// silences type-check warnings.  Every run parses and type-checks the
+// current sources; nothing is cached between runs.
 //
 // Findings that admit a provably-safe rewrite carry a machine-applicable
 // fix; -fix applies every pending fix in place (gofmt-ing the touched
@@ -69,11 +72,7 @@ func main() {
 		listRules   = flag.Bool("list", false, "list the registered rules and exit")
 		quiet       = flag.Bool("q", false, "suppress type-checker warnings")
 		ruleList    = flag.String("rules", "", "comma-separated rule names to run (default: all)")
-		jsonOut     = flag.Bool("json", false, "write findings as aeropacklint/v1 JSON to stdout")
-		sarifPath   = flag.String("sarif", "", "write findings as SARIF 2.1.0 to `file` ('-' for stdout)")
 		auditAllows = flag.Bool("audit-allows", false, "report //lint:allow directives that no longer suppress anything or lack a reason")
-		cacheDir    = flag.String("cache-dir", "", "content-hash result cache `directory` (default: per-user cache; empty string plus -nocache disables)")
-		noCache     = flag.Bool("nocache", false, "disable the result cache")
 		applyFix    = flag.Bool("fix", false, "apply machine-applicable fixes in place (gofmt included)")
 		dryRun      = flag.Bool("dry-run", false, "with -fix: list files that would change without writing; exit 1 if any fix is pending")
 	)
@@ -97,25 +96,12 @@ func main() {
 		os.Exit(exitError)
 	}
 
-	opts := lint.ModuleOptions{
+	res, err := lint.RunModule(lint.ModuleOptions{
 		Dir:      ".",
 		Patterns: flag.Args(),
 		Rules:    rules,
 		Audit:    *auditAllows,
-	}
-	if !*noCache {
-		dir := *cacheDir
-		if dir == "" {
-			if loader, err := lint.NewLoader("."); err == nil {
-				dir = lint.DefaultCacheDir(loader.Root)
-			}
-		}
-		if dir != "" {
-			opts.Cache = &lint.Cache{Dir: dir}
-		}
-	}
-
-	res, err := lint.RunModule(opts)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aeropacklint:", err)
 		os.Exit(exitError)
@@ -137,21 +123,8 @@ func main() {
 		return
 	}
 
-	if *sarifPath != "" {
-		if err := writeSARIF(*sarifPath, rulesOrAll(rules), res.Findings); err != nil {
-			fmt.Fprintln(os.Stderr, "aeropacklint:", err)
-			os.Exit(exitError)
-		}
-	}
-	if *jsonOut {
-		if err := lint.WriteJSONFindings(os.Stdout, res.Findings); err != nil {
-			fmt.Fprintln(os.Stderr, "aeropacklint:", err)
-			os.Exit(exitError)
-		}
-	} else {
-		for _, f := range res.Findings {
-			fmt.Println(f.String())
-		}
+	for _, f := range res.Findings {
+		fmt.Println(f.String())
 	}
 	if *applyFix {
 		changed, err := lint.ApplyFixes(res.Root, res.Findings, *dryRun)
@@ -202,27 +175,4 @@ func selectRules(list string) ([]lint.Rule, error) {
 		return nil, fmt.Errorf("-rules selected no rules")
 	}
 	return out, nil
-}
-
-func rulesOrAll(rules []lint.Rule) []lint.Rule {
-	if rules == nil {
-		return lint.Rules()
-	}
-	return rules
-}
-
-// writeSARIF writes the SARIF log to path, or stdout for "-".
-func writeSARIF(path string, rules []lint.Rule, findings []lint.Finding) error {
-	if path == "-" {
-		return lint.WriteSARIF(os.Stdout, rules, findings)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := lint.WriteSARIF(f, rules, findings); err != nil {
-		_ = f.Close() // the write error is the one worth reporting
-		return err
-	}
-	return f.Close()
 }

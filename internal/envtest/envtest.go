@@ -362,22 +362,6 @@ func (c Campaign) QualifyFleet(articles []*Article, workers int) ([][]Result, er
 	})
 }
 
-// QualifyFleetKeepGoing runs the campaign over a batch of articles like
-// QualifyFleet, but a failing article no longer aborts the batch: its
-// row is nil and a robust.PointError labelled with the article name is
-// returned, while every other article's results are exactly RunAll's.
-func (c Campaign) QualifyFleetKeepGoing(articles []*Article, workers int) ([][]Result, []*robust.PointError) {
-	prog := obs.CurrentBoard().Begin("envtest.QualifyFleet", len(articles))
-	defer prog.Finish()
-	return robust.MapKeepGoing(articles, workers,
-		func(_ int, a *Article) string { return a.Name },
-		func(_ int, a *Article) ([]Result, error) {
-			r, err := c.RunAll(a)
-			prog.Step(1) // keep-going fleets count failed articles as visited
-			return r, err
-		})
-}
-
 // AllPass reports whether every result passed.
 func AllPass(results []Result) bool {
 	if len(results) == 0 {

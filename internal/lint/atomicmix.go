@@ -8,7 +8,8 @@
 // module-wide; this rule flags plain mentions of those objects.  The
 // atomic sites themselves, composite-literal keys (pre-publication
 // initialization) and test files are exempt.  Facts are consumed only
-// from the package's import closure, keeping the result cache sound.
+// from the package's import closure, so a package's findings do not
+// depend on which other packages the run requested.
 package lint
 
 import (

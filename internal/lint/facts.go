@@ -19,8 +19,8 @@
 // packages loaded only as dependencies) before any rule runs, so checks
 // observe a complete store.  Fact flow follows the import graph: a fact
 // about an object in package P can only be consumed by packages that
-// (transitively) import P, which keeps the content-hash cache sound —
-// a package's cache key already covers its transitive in-module deps.
+// (transitively) import P, so a package's findings depend only on its
+// own import closure, never on which other packages the run requested.
 package lint
 
 import (
@@ -235,26 +235,13 @@ func (fs *Facts) AtomicAccess(obj types.Object) (AtomicFact, bool) {
 }
 
 // LockEdges returns the module-wide lock-order graph.  Consumers must
-// filter by their import closure (LockEdge.Pkg) to stay cache-sound.
+// filter by their import closure (LockEdge.Pkg) so their findings do
+// not depend on the requested package set.
 func (fs *Facts) LockEdges() []LockEdge {
 	if fs == nil {
 		return nil
 	}
 	return fs.lockEdges
-}
-
-// SizeFactsOf lists fn's parameters that size an allocation or bound a
-// loop without a clamp.
-func (fs *Facts) SizeFactsOf(fn *types.Func) []SizeFact {
-	s := fs.summaries()
-	if s == nil || fn == nil {
-		return nil
-	}
-	cn := s.nodes[fn]
-	if cn == nil {
-		return nil
-	}
-	return s.sizeFacts(cn)
 }
 
 // SolverTouch reports whether fn (transitively) reaches any iterative-

@@ -1,7 +1,6 @@
 // Machine-applicable fixes.  A rule that can prove the rewrite attaches
-// a Fix — an edit list in byte offsets — to its finding; the exporters
-// carry it (JSON `fix`, SARIF `fixes`) and `aeropacklint -fix` applies
-// it in place, gofmt-ing every touched file.  Fixes are deliberately
+// a Fix — an edit list in byte offsets — to its finding, and
+// `aeropacklint -fix` applies it in place, gofmt-ing every touched file.  Fixes are deliberately
 // rare: only rewrites that preserve semantics byte-for-provable, like
 // `err == Sentinel` → `errors.Is(err, Sentinel)` and `x + 273.15` →
 // `units.CToK(x)`, qualify.
@@ -24,18 +23,18 @@ import (
 // New.  File is module-root-relative after RunModule (like finding
 // positions); an insertion has Offset == End.
 type TextEdit struct {
-	File   string `json:"file"`
-	Offset int    `json:"offset"`
-	End    int    `json:"end"`
-	New    string `json:"new"`
+	File   string
+	Offset int
+	End    int
+	New    string
 }
 
 // Fix is one machine-applicable rewrite resolving a finding.
 type Fix struct {
 	// Desc is a one-line description of what the rewrite does.
-	Desc string `json:"desc"`
+	Desc string
 	// Edits are applied together; they never overlap.
-	Edits []TextEdit `json:"edits"`
+	Edits []TextEdit
 }
 
 // ApplyFixes applies every fix in findings to the files under root,

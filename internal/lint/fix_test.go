@@ -138,38 +138,6 @@ func TestFixRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFixSurvivesCache proves a Fix round-trips through the content-hash
-// result cache: the warm run's findings still carry applicable edits.
-func TestFixSurvivesCache(t *testing.T) {
-	root := fixableModule(t)
-	cache := &Cache{Dir: filepath.Join(root, "lintcache")}
-	opts := ModuleOptions{Dir: root, Patterns: []string{"./..."}, Cache: cache}
-
-	if _, err := RunModule(opts); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := RunModule(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.CacheMisses != 0 {
-		t.Fatalf("warm run missed the cache: hits=%d misses=%d", warm.CacheHits, warm.CacheMisses)
-	}
-	if got := PendingFixes(warm.Findings); got != 2 {
-		t.Fatalf("cached PendingFixes = %d, want 2", got)
-	}
-	if _, err := ApplyFixes(root, warm.Findings, false); err != nil {
-		t.Fatal(err)
-	}
-	again, err := RunModule(ModuleOptions{Dir: root, Patterns: []string{"./..."}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again.Findings) != 0 {
-		t.Errorf("findings after cached -fix = %v, want none", again.Findings)
-	}
-}
-
 // TestApplyFixesSkipsStaleEdits proves out-of-range and overlapping
 // edits are dropped instead of corrupting the file.
 func TestApplyFixesSkipsStaleEdits(t *testing.T) {

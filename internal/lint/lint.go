@@ -36,11 +36,10 @@ type Finding struct {
 	Hint string
 	// Related points at secondary locations — the callee site an
 	// interprocedural finding reaches through, or a %w wrap site.  It is
-	// carried into the JSON and SARIF exports but not into String().
+	// not part of String().
 	Related []Related
 	// Fix, when non-nil, is a machine-applicable rewrite that resolves
-	// the finding.  Exported as a JSON fix object / SARIF fixes entry
-	// and applied by `aeropacklint -fix`.
+	// the finding, applied by `aeropacklint -fix`.
 	Fix *Fix
 }
 
@@ -176,14 +175,8 @@ func (p *Package) Directives() []AllowDirective {
 	return p.directives
 }
 
-// Run executes every registered rule over the given packages, applies
-// //lint:allow filtering, and returns the surviving findings sorted by
-// position.
-func Run(pkgs []*Package) []Finding {
-	return RunRules(pkgs, Rules())
-}
-
-// RunRules is Run restricted to an explicit rule set (used by tests).
+// RunRules executes rules over the given packages, applies //lint:allow
+// filtering, and returns the surviving findings sorted by position.
 func RunRules(pkgs []*Package, rules []Rule) []Finding {
 	var out []Finding
 	for _, p := range pkgs {

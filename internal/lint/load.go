@@ -17,14 +17,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
-
-	"aeropack/internal/parallel"
 )
 
-// Loader parses and type-checks the packages of one Go module.
+// Loader parses and type-checks the packages of one Go module.  It is
+// not safe for concurrent use.
 type Loader struct {
 	// Fset is shared by every file the loader touches.
 	Fset *token.FileSet
@@ -38,18 +35,8 @@ type Loader struct {
 	TypeErrors []string
 
 	std      types.Importer
-	cache    map[string]*types.Package
 	pkgs     map[string]*Package
 	checking map[string]bool
-
-	// mu guards cache, pkgs, checking, TypeErrors and preparsed; it is
-	// held only around map/slice accesses, never across a type-check, so
-	// LoadDirsParallel can run independent packages concurrently.
-	mu        sync.Mutex
-	preparsed map[string][]*ast.File
-	// stdMu serializes the source importer: srcimporter keeps an
-	// unlocked package map internally and is not safe for concurrent use.
-	stdMu sync.Mutex
 }
 
 // NewLoader locates the module root at or above dir and reads the module
@@ -87,14 +74,12 @@ func NewLoader(dir string) (*Loader, error) {
 	}
 	fset := token.NewFileSet()
 	return &Loader{
-		Fset:      fset,
-		Root:      root,
-		ModPath:   modPath,
-		std:       importer.ForCompiler(fset, "source", nil),
-		cache:     make(map[string]*types.Package),
-		pkgs:      make(map[string]*Package),
-		checking:  make(map[string]bool),
-		preparsed: make(map[string][]*ast.File),
+		Fset:     fset,
+		Root:     root,
+		ModPath:  modPath,
+		std:      importer.ForCompiler(fset, "source", nil),
+		pkgs:     make(map[string]*Package),
+		checking: make(map[string]bool),
 	}, nil
 }
 
@@ -112,8 +97,6 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		}
 		return p.Pkg, nil
 	}
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
 	return l.std.Import(path)
 }
 
@@ -158,22 +141,14 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 }
 
 func (l *Loader) load(dir, path string) (*Package, error) {
-	l.mu.Lock()
 	if p, ok := l.pkgs[path]; ok {
-		l.mu.Unlock()
 		return p, nil
 	}
 	if l.checking[path] {
-		l.mu.Unlock()
 		return nil, fmt.Errorf("lint: import cycle through %s", path)
 	}
 	l.checking[path] = true
-	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		delete(l.checking, path)
-		l.mu.Unlock()
-	}()
+	defer delete(l.checking, path)
 
 	files, err := l.parseDir(dir)
 	if err != nil {
@@ -192,9 +167,7 @@ func (l *Loader) load(dir, path string) (*Package, error) {
 		Importer:    l,
 		FakeImportC: true,
 		Error: func(err error) {
-			l.mu.Lock()
 			l.TypeErrors = append(l.TypeErrors, err.Error())
-			l.mu.Unlock()
 		},
 	}
 	// Check never fully fails here: the error callback above swallows
@@ -208,39 +181,8 @@ func (l *Loader) load(dir, path string) (*Package, error) {
 		Pkg:        tpkg,
 		Info:       info,
 	}
-	l.mu.Lock()
-	l.cache[path] = tpkg
 	l.pkgs[path] = p
-	l.mu.Unlock()
 	return p, nil
-}
-
-// PreparseParallel parses the sources of every given directory
-// concurrently and memoizes the results, so the sequential type-check
-// phase finds its ASTs ready.  token.FileSet and parser.ParseFile are
-// safe for concurrent use; errors are deferred to the eventual LoadDir.
-func (l *Loader) PreparseParallel(dirs []string) {
-	var wg sync.WaitGroup
-	for _, dir := range dirs {
-		l.mu.Lock()
-		_, seen := l.preparsed[dir]
-		l.mu.Unlock()
-		if seen {
-			continue
-		}
-		wg.Add(1)
-		go func(dir string) {
-			defer wg.Done()
-			files, err := l.parseDirUncached(dir)
-			if err != nil {
-				return // LoadDir will re-parse and surface the error
-			}
-			l.mu.Lock()
-			l.preparsed[dir] = files
-			l.mu.Unlock()
-		}(dir)
-	}
-	wg.Wait()
 }
 
 // Loaded returns every package the loader has type-checked so far —
@@ -255,22 +197,10 @@ func (l *Loader) Loaded() []*Package {
 	return out
 }
 
-// parseDir returns the directory's parsed sources, consuming a
-// PreparseParallel result when one exists.
-func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
-	l.mu.Lock()
-	files, ok := l.preparsed[dir]
-	l.mu.Unlock()
-	if ok {
-		return files, nil
-	}
-	return l.parseDirUncached(dir)
-}
-
-// parseDirUncached parses the non-test .go files of one directory.  When
+// parseDir parses the non-test .go files of one directory.  When
 // a directory holds more than one package name (rare outside testdata),
 // the majority package wins and the rest are skipped.
-func (l *Loader) parseDirUncached(dir string) ([]*ast.File, error) {
+func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -339,124 +269,6 @@ func (l *Loader) PackageDirs(start string) ([]string, error) {
 	return dirs, nil
 }
 
-// moduleImports returns dir's module-internal imports as directories,
-// from an AST-level scan of its (pre)parsed sources.
-func (l *Loader) moduleImports(dir string) ([]string, error) {
-	files, err := l.parseDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool)
-	var deps []string
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			ipath, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if depDir, ok := l.dirFor(ipath); ok && depDir != dir && !seen[depDir] {
-				seen[depDir] = true
-				deps = append(deps, depDir)
-			}
-		}
-	}
-	sort.Strings(deps)
-	return deps, nil
-}
-
-// LoadDirsParallel type-checks the packages of dirs using every core:
-// it discovers the module-internal dependency closure from import
-// lines, pre-parses it concurrently, then type-checks in topological
-// layers — every package of a layer depends only on finished layers,
-// so the layer's members check on separate goroutines (standard-library
-// imports stay serialized behind the source importer's lock).  A final
-// memoized sequential pass returns the requested packages in input
-// order and surfaces any load error exactly as LoadDir would have.
-func (l *Loader) LoadDirsParallel(dirs []string) ([]*Package, error) {
-	abs := make([]string, len(dirs))
-	for i, d := range dirs {
-		a, err := filepath.Abs(d)
-		if err != nil {
-			return nil, err
-		}
-		abs[i] = a
-	}
-
-	// Closure discovery in parse waves: each frontier is parsed
-	// concurrently, then its imports name the next frontier.
-	deps := make(map[string][]string)
-	frontier := abs
-	for len(frontier) > 0 {
-		l.PreparseParallel(frontier)
-		var next []string
-		for _, dir := range frontier {
-			if _, ok := deps[dir]; ok {
-				continue
-			}
-			ds, err := l.moduleImports(dir)
-			if err != nil {
-				deps[dir] = nil // the sequential pass reports it
-				continue
-			}
-			deps[dir] = ds
-			for _, d := range ds {
-				if _, ok := deps[d]; !ok {
-					next = append(next, d)
-				}
-			}
-		}
-		frontier = next
-	}
-
-	// Kahn layering over the discovered graph.  Directories are sorted
-	// within each layer so the work distribution — and with it the order
-	// of any type-checker diagnostics after the suite's sort — is stable.
-	all := make([]string, 0, len(deps))
-	for d := range deps {
-		all = append(all, d)
-	}
-	sort.Strings(all)
-	done := make(map[string]bool, len(all))
-	for len(done) < len(all) {
-		var layer []string
-		for _, dir := range all {
-			if done[dir] {
-				continue
-			}
-			ready := true
-			for _, d := range deps[dir] {
-				if !done[d] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				layer = append(layer, dir)
-			}
-		}
-		if len(layer) == 0 {
-			break // import cycle; the sequential pass reports it
-		}
-		for _, d := range layer {
-			done[d] = true
-		}
-		parallel.For(len(layer), 0, func(i int) {
-			_, _ = l.LoadDir(layer[i]) // errors re-surface below
-		})
-	}
-
-	// Canonical pass: all hits are memoized, all errors deterministic.
-	pkgs := make([]*Package, len(abs))
-	for i, dir := range abs {
-		p, err := l.LoadDir(dir)
-		if err != nil {
-			return nil, fmt.Errorf("lint: loading %s: %w", dir, err)
-		}
-		pkgs[i] = p
-	}
-	return pkgs, nil
-}
-
 // LoadAll loads every package under start ("" means the module root).
 func (l *Loader) LoadAll(start string) ([]*Package, error) {
 	if start == "" {
@@ -466,13 +278,20 @@ func (l *Loader) LoadAll(start string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pkgs []*Package
-	for _, dir := range dirs {
+	return l.loadDirs(dirs)
+}
+
+// loadDirs loads the package of each directory, in order.  In-module
+// imports load recursively on first use, so Loaded then holds the whole
+// import closure.
+func (l *Loader) loadDirs(dirs []string) ([]*Package, error) {
+	pkgs := make([]*Package, len(dirs))
+	for i, dir := range dirs {
 		p, err := l.LoadDir(dir)
 		if err != nil {
 			return nil, fmt.Errorf("lint: loading %s: %w", dir, err)
 		}
-		pkgs = append(pkgs, p)
+		pkgs[i] = p
 	}
 	return pkgs, nil
 }

@@ -7,9 +7,9 @@
 //
 // Each package reports only the edges observed in its own sources, and
 // searches for the closing path only through edges from its import
-// closure — fact flow follows the import graph, which keeps the
-// content-hash result cache sound.  The full acquisition chain of the
-// cycle is attached as related locations (SARIF relatedLocations).
+// closure — fact flow follows the import graph, so the findings do not
+// depend on the requested package set.  The full acquisition chain of
+// the cycle is attached as related locations.
 package lint
 
 import (

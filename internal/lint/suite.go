@@ -1,6 +1,6 @@
 // The module-level pipeline behind cmd/aeropacklint: pattern expansion,
-// cache probing, layered parallel parse + type-check, fact and summary
-// gathering, parallel rule execution and the //lint:allow audit.  The
+// parse + type-check, fact and summary gathering, parallel rule
+// execution and the //lint:allow audit.  The
 // driver and BenchmarkLintModule share this entry point.
 package lint
 
@@ -24,12 +24,9 @@ type ModuleOptions struct {
 	Patterns []string
 	// Rules restricts the run; nil means every registered rule.
 	Rules []Rule
-	// Cache enables the content-hash result cache when non-nil.
-	Cache *Cache
 	// Audit switches to the //lint:allow audit: instead of findings, the
 	// result reports directives that no longer suppress anything (or
-	// carry no reason).  The cache is bypassed — the audit needs raw,
-	// pre-suppression findings for every requested package.
+	// carry no reason).
 	Audit bool
 }
 
@@ -66,9 +63,6 @@ type ModuleResult struct {
 	TypeErrors []string
 	// Packages is the number of requested packages.
 	Packages int
-	// CacheHits / CacheMisses count requested packages served from /
-	// missing the cache.
-	CacheHits, CacheMisses int
 }
 
 // RunModule executes the configured suite and returns the merged,
@@ -91,39 +85,14 @@ func RunModule(opts ModuleOptions) (*ModuleResult, error) {
 	}
 	res := &ModuleResult{Root: loader.Root, Packages: len(dirs)}
 
-	// Phase 1: probe the cache.
-	var missDirs []string
-	var cached []Finding
-	keyByDir := make(map[string]string)
-	if opts.Cache != nil && !opts.Audit {
-		ky := newKeyer(loader, rules, dirs)
-		for _, dir := range dirs {
-			key, err := ky.Key(dir)
-			if err != nil {
-				return nil, err
-			}
-			keyByDir[dir] = key
-			if fs, ok := opts.Cache.Get(key); ok {
-				res.CacheHits++
-				cached = append(cached, fs...)
-				continue
-			}
-			res.CacheMisses++
-			missDirs = append(missDirs, dir)
-		}
-	} else {
-		missDirs = dirs
-		res.CacheMisses = len(dirs)
-	}
-
-	// Phase 2: parse and type-check the misses in parallel topological
-	// layers (the loader serializes shared standard-library imports).
-	pkgs, err := loader.LoadDirsParallel(missDirs)
+	// Phase 1: parse and type-check the requested packages; their
+	// in-module dependencies load on first import.
+	pkgs, err := loader.loadDirs(dirs)
 	if err != nil {
 		return nil, err
 	}
 
-	// Phase 3: gather cross-package facts over everything the loader
+	// Phase 2: gather cross-package facts over everything the loader
 	// touched (requested packages and dependencies alike), then attach
 	// the store.
 	facts := NewFacts()
@@ -133,7 +102,7 @@ func RunModule(opts ModuleOptions) (*ModuleResult, error) {
 		p.Facts = facts
 	}
 
-	// Phase 4: run rules (or the audit) per package.  The fact store is
+	// Phase 3: run rules (or the audit) per package.  The fact store is
 	// read-only after Gather, so the rule phase fans out per package; the
 	// audit stays sequential (it is the rare administrative path).
 	if opts.Audit {
@@ -154,11 +123,6 @@ func RunModule(opts ModuleOptions) (*ModuleResult, error) {
 					}
 				}
 			}
-			if key := keyByDir[p.Dir]; key != "" {
-				if err := opts.Cache.Put(key, findings); err != nil {
-					return nil, fmt.Errorf("lint: writing cache: %w", err)
-				}
-			}
 			return findings, nil
 		})
 		if err != nil {
@@ -168,7 +132,6 @@ func RunModule(opts ModuleOptions) (*ModuleResult, error) {
 			res.Findings = append(res.Findings, findings...)
 		}
 	}
-	res.Findings = append(res.Findings, cached...)
 	SortFindings(res.Findings)
 	for i := range res.Stale {
 		res.Stale[i].Pos = relPosition(loader.Root, res.Stale[i].Pos)
@@ -183,8 +146,7 @@ func RunModule(opts ModuleOptions) (*ModuleResult, error) {
 		}
 		return a.Rule < b.Rule
 	})
-	// Parallel type-checking makes the arrival order of diagnostics
-	// scheduling-dependent; sort so the surfaced warnings are stable.
+	// Diagnostics arrive in load order; sort them like the findings.
 	res.TypeErrors = append([]string(nil), loader.TypeErrors...)
 	sort.Strings(res.TypeErrors)
 	return res, nil

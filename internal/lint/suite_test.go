@@ -26,97 +26,73 @@ func writeTempModule(t *testing.T, files map[string]string) string {
 	return root
 }
 
-// TestRunModuleCache drives the content-hash cache through its three
-// states: cold miss, warm hit with identical findings, and invalidation
-// after the package content changes.
+// writeFile overwrites one module-relative file of a temp module.
+func writeFile(t *testing.T, root, rel, src string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(root, filepath.FromSlash(rel)), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunModuleCache checks that re-running after a source edit reports
+// the edited package's new findings: every run lints from the sources as
+// they are now, with module-root-relative positions.
 func TestRunModuleCache(t *testing.T) {
 	root := writeTempModule(t, map[string]string{
 		"pkg/pkg.go": "package pkg\n\n// Offset trips unitsafety.\nfunc Offset(c float64) float64 { return c + 273.15 }\n",
 	})
-	cache := &Cache{Dir: filepath.Join(root, "lintcache")}
-	opts := ModuleOptions{Dir: root, Patterns: []string{"./..."}, Cache: cache}
+	opts := ModuleOptions{Dir: root, Patterns: []string{"./..."}}
 
-	cold, err := RunModule(opts)
+	before, err := RunModule(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.CacheHits != 0 || cold.CacheMisses != 1 {
-		t.Errorf("cold run: hits=%d misses=%d, want 0/1", cold.CacheHits, cold.CacheMisses)
+	if before.Packages != 1 {
+		t.Errorf("Packages = %d, want 1", before.Packages)
 	}
-	if len(cold.Findings) != 1 || cold.Findings[0].Rule != "unitsafety" {
-		t.Fatalf("cold findings = %v, want one unitsafety hit", cold.Findings)
+	if len(before.Findings) != 1 || before.Findings[0].Rule != "unitsafety" {
+		t.Fatalf("findings = %v, want one unitsafety hit", before.Findings)
 	}
-	if got := filepath.ToSlash(cold.Findings[0].Pos.Filename); got != "pkg/pkg.go" {
+	if got := filepath.ToSlash(before.Findings[0].Pos.Filename); got != "pkg/pkg.go" {
 		t.Errorf("finding position %q not module-root-relative", got)
 	}
 
-	warm, err := RunModule(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.CacheHits != 1 || warm.CacheMisses != 0 {
-		t.Errorf("warm run: hits=%d misses=%d, want 1/0", warm.CacheHits, warm.CacheMisses)
-	}
-	if len(warm.Findings) != 1 || warm.Findings[0].String() != cold.Findings[0].String() {
-		t.Errorf("cached findings diverge: cold %v, warm %v", cold.Findings, warm.Findings)
-	}
-
-	// Touching the content must invalidate the key and surface the new
-	// finding alongside the old one.
-	src := "package pkg\n\n// Offset trips unitsafety.\nfunc Offset(c float64) float64 { return c + 273.15 }\n\n// Spin trips it again.\nfunc Spin(rpm float64) float64 { return rpm / 3600 }\n"
-	if err := os.WriteFile(filepath.Join(root, "pkg", "pkg.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// The edit must surface the new finding alongside the old one.
+	writeFile(t, root, "pkg/pkg.go", "package pkg\n\n// Offset trips unitsafety.\nfunc Offset(c float64) float64 { return c + 273.15 }\n\n// Spin trips it again.\nfunc Spin(rpm float64) float64 { return rpm / 3600 }\n")
 	edited, err := RunModule(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if edited.CacheHits != 0 || edited.CacheMisses != 1 {
-		t.Errorf("edited run: hits=%d misses=%d, want 0/1 (content change must invalidate)",
-			edited.CacheHits, edited.CacheMisses)
-	}
-	if len(edited.Findings) != 2 {
-		t.Errorf("edited findings = %v, want both literals flagged", edited.Findings)
+	if len(edited.Findings) != 2 || edited.Findings[0].String() != before.Findings[0].String() {
+		t.Errorf("edited findings = %v, want the original hit plus the new literal", edited.Findings)
 	}
 }
 
-// TestRunModuleCacheDependencyInvalidation checks the key covers
-// transitive in-module deps: editing an imported package invalidates the
-// importer even though its own files are untouched.
+// TestRunModuleCacheDependencyInvalidation checks that editing an
+// imported package changes the importer's findings even though the
+// importer's own files are untouched.
 func TestRunModuleCacheDependencyInvalidation(t *testing.T) {
 	root := writeTempModule(t, map[string]string{
 		"base/base.go": "package base\n\n// Scale is a harmless constant.\nconst Scale = 2.0\n",
 		"app/app.go":   "package app\n\nimport \"tmpmod/base\"\n\n// Use keeps the import live.\nfunc Use(x float64) float64 { return x * base.Scale }\n",
 	})
-	cache := &Cache{Dir: filepath.Join(root, "lintcache")}
-	opts := ModuleOptions{Dir: root, Patterns: []string{"app"}, Cache: cache}
+	opts := ModuleOptions{Dir: root, Patterns: []string{"app"}}
 
-	if _, err := RunModule(opts); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := RunModule(opts)
+	before, err := RunModule(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.CacheHits != 1 {
-		t.Fatalf("warm run should hit, got hits=%d misses=%d", warm.CacheHits, warm.CacheMisses)
+	if len(before.Findings) != 0 {
+		t.Fatalf("findings = %v, want none before the edit", before.Findings)
 	}
 
-	// Redefine the dependency's constant as a conversion factor: app's
-	// own bytes are unchanged, but its key must rotate with base.
-	src := "package base\n\n// Scale became a conversion factor.\nconst Scale = 3600.0\n"
-	if err := os.WriteFile(filepath.Join(root, "base", "base.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Redefine the dependency's constant as a conversion factor.
+	writeFile(t, root, "base/base.go", "package base\n\n// Scale became a conversion factor.\nconst Scale = 3600.0\n")
 	edited, err := RunModule(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if edited.CacheMisses != 1 {
-		t.Errorf("dependency edit did not invalidate the importer: hits=%d misses=%d",
-			edited.CacheHits, edited.CacheMisses)
-	}
-	// And the cross-package fact now fires in app without any literal.
+	// The cross-package fact now fires in app without any literal.
 	if len(edited.Findings) != 1 || edited.Findings[0].Rule != "unitsafety" ||
 		!strings.Contains(edited.Findings[0].Msg, "base.Scale") {
 		t.Errorf("findings = %v, want a unitsafety fact hit on base.Scale", edited.Findings)
@@ -124,10 +100,9 @@ func TestRunModuleCacheDependencyInvalidation(t *testing.T) {
 }
 
 // TestSummaryCacheInvalidation is the interprocedural twin of the
-// dependency-invalidation test: a caller is flagged because its callee's
-// summary blocks; editing only the callee's body must rotate the
-// caller's key and flip the caller's findings — a cached interprocedural
-// result may never outlive the callee body it was derived from.
+// dependency test: a caller is flagged because its callee's summary
+// blocks; editing only the callee's body must flip the caller's
+// findings.
 func TestSummaryCacheInvalidation(t *testing.T) {
 	root := writeTempModule(t, map[string]string{
 		"internal/util/util.go": "package util\n\n// Ping blocks on its channel.\nfunc Ping(c chan int) int { return <-c }\n",
@@ -152,46 +127,26 @@ func TestSummaryCacheInvalidation(t *testing.T) {
 			"",
 		}, "\n"),
 	})
-	cache := &Cache{Dir: filepath.Join(root, "lintcache")}
-	opts := ModuleOptions{Dir: root, Patterns: []string{"internal/app"}, Cache: cache}
+	opts := ModuleOptions{Dir: root, Patterns: []string{"internal/app"}}
 
-	cold, err := RunModule(opts)
+	before, err := RunModule(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cold.Findings) != 1 || cold.Findings[0].Rule != "lockheld" ||
-		!strings.Contains(cold.Findings[0].Msg, "util.Ping") {
-		t.Fatalf("cold findings = %v, want one interprocedural lockheld hit through util.Ping", cold.Findings)
+	if len(before.Findings) != 1 || before.Findings[0].Rule != "lockheld" ||
+		!strings.Contains(before.Findings[0].Msg, "util.Ping") {
+		t.Fatalf("findings = %v, want one interprocedural lockheld hit through util.Ping", before.Findings)
 	}
-	if len(cold.Findings[0].Related) != 1 {
-		t.Errorf("interprocedural finding should carry the blocking site as a related location, got %v",
-			cold.Findings[0].Related)
-	}
-
-	warm, err := RunModule(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.CacheHits != 1 || len(warm.Findings) != 1 {
-		t.Fatalf("warm run: hits=%d findings=%v, want a hit reproducing the finding", warm.CacheHits, warm.Findings)
-	}
-	if len(warm.Findings[0].Related) != 1 {
-		t.Errorf("related locations must survive the cache round-trip, got %v", warm.Findings[0].Related)
+	if rel := before.Findings[0].Related; len(rel) != 1 ||
+		filepath.ToSlash(rel[0].Pos.Filename) != "internal/util/util.go" {
+		t.Errorf("interprocedural finding should carry the blocking site in util.go as a related location, got %v", rel)
 	}
 
-	// Make the callee non-blocking.  app's own bytes are untouched, but
-	// its summary-derived finding must disappear, so the key must rotate.
-	src := "package util\n\n// Ping no longer blocks.\nfunc Ping(c chan int) int { return len(c) }\n"
-	if err := os.WriteFile(filepath.Join(root, "internal", "util", "util.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Make the callee non-blocking; app's own bytes are untouched.
+	writeFile(t, root, "internal/util/util.go", "package util\n\n// Ping no longer blocks.\nfunc Ping(c chan int) int { return len(c) }\n")
 	edited, err := RunModule(opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if edited.CacheMisses != 1 {
-		t.Errorf("callee body edit did not invalidate the caller: hits=%d misses=%d",
-			edited.CacheHits, edited.CacheMisses)
 	}
 	if len(edited.Findings) != 0 {
 		t.Errorf("findings = %v, want none after the callee stopped blocking", edited.Findings)
@@ -309,6 +264,17 @@ func TestRunModuleAudit(t *testing.T) {
 	for _, s := range res.Stale {
 		if !strings.HasPrefix(filepath.ToSlash(s.Pos.Filename), "pkg/") {
 			t.Errorf("audit position %q not module-root-relative", s.Pos.Filename)
+		}
+	}
+	// The CLI prints these lines verbatim.
+	want := map[string]string{
+		"stale":        ": stale //lint:allow unitsafety: no unitsafety finding on this or the next line",
+		"unknown-rule": `: //lint:allow names unknown rule "nosuchrule"`,
+		"no-reason":    ": //lint:allow unitsafety has no reason text",
+	}
+	for _, s := range res.Stale {
+		if got := s.String(); !strings.HasSuffix(got, want[s.Why]) || !strings.HasPrefix(got, s.Pos.String()) {
+			t.Errorf("%s report prints %q, want position then %q", s.Why, got, want[s.Why])
 		}
 	}
 }

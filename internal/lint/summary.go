@@ -30,11 +30,9 @@
 // eagerly (in deterministic order — the memoized cycle answers depend on
 // traversal order); afterwards the store is read-only.
 //
-// Soundness with the result cache: a summary consumed while linting
-// package P only describes functions of P itself or of packages P
-// (transitively) imports, so P's content-hash cache key — which already
-// folds in the transitive in-module dependency sources — rotates
-// whenever any summarized body changes.
+// A summary consumed while linting package P only describes functions
+// of P itself or of packages P (transitively) imports, so P's findings
+// do not depend on which other packages the run requested.
 package lint
 
 import (

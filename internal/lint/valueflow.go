@@ -863,8 +863,8 @@ func mutexObject(p *Package, e ast.Expr) types.Object {
 
 // importClosure returns the import paths visible to p: itself plus its
 // transitive imports.  Facts originating outside this set must not be
-// consumed while linting p (the content-hash cache key only covers the
-// closure).
+// consumed while linting p, so p's findings do not depend on the
+// requested package set.
 func importClosure(p *Package) map[string]bool {
 	seen := map[string]bool{p.ImportPath: true}
 	if p.Pkg == nil {

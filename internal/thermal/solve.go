@@ -222,7 +222,8 @@ func (m *Model) SolveSteady(opts *SolveOptions) (*Result, error) {
 
 	w := o.workerCount()
 	res := &Result{g: m.Grid}
-	setup := m.solverSetup()
+	// One private setup per call, shared by every Picard pass.
+	setup := linalg.NewSolverSetup()
 	var prev []float64
 	for outer := 0; outer < o.MaxOuter; outer++ {
 		res.OuterIterations = outer + 1
@@ -321,17 +322,6 @@ func (m *Model) assembleObs(Tsurf []float64, workers int, parent *obs.Span) (*li
 
 // assemblyBuckets span 1 µs to 1000 s, one decade per bucket.
 var assemblyBuckets = obs.ExpBuckets(1e-6, 10, 9)
-
-// solverSetup returns the setup one solve call should thread through its
-// inner linear solves: the persistent one when EnableSolverReuse was
-// called, otherwise a fresh private instance (still shared by all Picard
-// passes and transient steps of that call).
-func (m *Model) solverSetup() *linalg.SolverSetup {
-	if m.setup != nil {
-		return m.setup
-	}
-	return linalg.NewSolverSetup()
-}
 
 // precKindFor maps a SolveOptions.Solver name to the preconditioner kind
 // its primary attempt uses.
@@ -702,7 +692,8 @@ func (m *Model) SolveTransient(T0 float64, opts *TransientOptions) (*Result, err
 
 	w := o.workerCount()
 	res := &Result{g: g}
-	setup := m.solverSetup()
+	// One private setup per call, shared by every time step.
+	setup := linalg.NewSolverSetup()
 	rhs := make([]float64, n)
 	t := 0.0
 	for step := 0; step < opts.Steps; step++ {

@@ -1,8 +1,8 @@
 #!/bin/sh
 # verify.sh — the tier-1 gate: formatting, vet, aeropacklint (full rule
 # suite plus the //lint:allow audit), build, race-enabled tests, coverage
-# floors and a lint-cache benchmark smoke run.  Any failure stops the
-# script with a non-zero exit.
+# floors and benchmark smoke runs.  Any failure stops the script with a
+# non-zero exit.
 set -eu
 
 cd "$(dirname "$0")"
@@ -88,7 +88,7 @@ AEROPACK_SOLVER_GUARD=1 go test -run TestSolverPerfGuard -v . | grep -v '^=== '
 echo "== solver benchmark smoke (BenchmarkE5_Fig10 + Par pair + plate FEM modal, 1 iteration)"
 go test -run - -bench 'BenchmarkE5_Fig10$|BenchmarkPar_SolveSteady|BenchmarkExt_PlateFEMvsClosedForm$' -benchtime 1x .
 
-echo "== lint-cache benchmark smoke (BenchmarkLintModule, 1 iteration)"
+echo "== full-module lint benchmark smoke (BenchmarkLintModule, 1 iteration)"
 go test -run - -bench BenchmarkLintModule -benchtime 1x ./internal/lint
 
 echo "== lint-phase benchmark smoke (BenchmarkLintPhases, 1 iteration)"
