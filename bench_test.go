@@ -245,6 +245,29 @@ func BenchmarkE2_Level2(b *testing.B) {
 	reportSolverWork(b, reg)
 }
 
+// BenchmarkE2_Level2FreeConvection is the E2 board sealed in a
+// free-convection box: both faces radiate, so level 2 is a multi-pass
+// Picard solve (the single-pass forced-air board above never refills its
+// assembly).  passes/op counts the radiation linearisation passes, one
+// thermal.assemble each.
+func BenchmarkE2_Level2FreeConvection(b *testing.B) {
+	screen := core.DefaultScreen(core.Envelope{L: 0.5, W: 0.3, H: 0.26})
+	reg := benchRegistry(b)
+	for i := 0; i < b.N; i++ {
+		board := e2Board()
+		board.EdgeCooling = core.FreeConvection
+		for _, c := range board.Components {
+			c.Power *= 0.3 // sealed boxes carry light loads
+		}
+		if _, err := board.Level2(screen); err != nil {
+			b.Fatal(err)
+		}
+	}
+	passes := reg.Histogram("thermal_assembly_seconds", nil).Count()
+	b.ReportMetric(float64(passes)/float64(b.N), "passes/op")
+	reportSolverWork(b, reg)
+}
+
 func BenchmarkE2_Level3(b *testing.B) {
 	screen := core.DefaultScreen(core.Envelope{L: 0.5, W: 0.3, H: 0.26})
 	board := e2Board()

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"aeropack/internal/parallel"
@@ -55,54 +56,180 @@ func (c *COO) AppendAll(o *COO) {
 	c.v = append(c.v, o.v...)
 }
 
+// Values returns the stored triplet values in insertion order, aliasing
+// the builder's storage.  Together with Plan it is everything a caller
+// needs to merge the same triplet sequence again without the builder:
+// Plan().Fill(Values()) is ToCSR.
+func (c *COO) Values() []float64 { return c.v }
+
 // ToCSR converts the builder to compressed-sparse-row form, merging
 // duplicates by summation and dropping exact zeros produced by
 // cancellation, so assembly can never leave explicit zeros in the
-// sparsity pattern.
-func (c *COO) ToCSR() *CSR {
+// sparsity pattern.  It is Plan followed by Fill: the one merge path.
+func (c *COO) ToCSR() *CSR { return c.Plan().Fill(c.v) }
+
+// MergePlan is the value-independent half of COO.ToCSR: the order in
+// which a triplet sequence is sorted and merged, and the merged
+// structure it yields.  The sort comparator reads only (row, col), so the
+// plan depends only on the (row, col) sequence, and Fill with any values
+// for that same sequence sums each entry in exactly the order a fresh
+// ToCSR would — the merged values are bitwise identical.  A caller that
+// reassembles the same sequence with new values can therefore keep the
+// plan and skip the sort; a sequence that differs in any triplet (a
+// zero value COO.Add would drop included) needs a new plan.
+//
+// The plan holds int32 indices only (the permutation and per-entry
+// offsets) plus the merged RowPtr/ColIdx, which CSRs filled from it
+// share and must not modify.
+type MergePlan struct {
+	rows, cols int
+	perm       []int32 // sorted position → triplet index
+	start      []int32 // merged entry s sums sorted positions [start[s], start[s+1])
+	rowPtr     []int   // merged structure before cancellation compaction
+	colIdx     []int
+}
+
+// Plan sorts the stored triplets by (row, col) and records the merge.
+func (c *COO) Plan() *MergePlan {
 	n := len(c.v)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("linalg: COO holds %d triplets, more than a merge plan indexes", n))
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	sort.Slice(perm, func(a, b int) bool {
+		ia, ib := perm[a], perm[b]
 		if c.ri[ia] != c.ri[ib] {
 			return c.ri[ia] < c.ri[ib]
 		}
 		return c.ci[ia] < c.ci[ib]
 	})
-	csr := &CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: make([]int, c.Rows+1)}
-	rows := make([]int, 0, n)
+	nnz := 0
 	lastR, lastC := -1, -1
-	for _, idx := range order {
-		r, col, v := c.ri[idx], c.ci[idx], c.v[idx]
+	for _, idx := range perm {
+		if r, col := c.ri[idx], c.ci[idx]; r != lastR || col != lastC {
+			nnz++
+			lastR, lastC = r, col
+		}
+	}
+	p := &MergePlan{
+		rows: c.Rows, cols: c.Cols, perm: perm,
+		start:  make([]int32, 0, nnz+1),
+		rowPtr: make([]int, c.Rows+1),
+		colIdx: make([]int, 0, nnz),
+	}
+	lastR, lastC = -1, -1
+	for pos, idx := range perm {
+		r, col := c.ri[idx], c.ci[idx]
 		if r == lastR && col == lastC {
-			csr.Val[len(csr.Val)-1] += v
 			continue
 		}
-		csr.ColIdx = append(csr.ColIdx, col)
-		csr.Val = append(csr.Val, v)
-		rows = append(rows, r)
+		p.start = append(p.start, int32(pos))
+		p.colIdx = append(p.colIdx, col)
+		p.rowPtr[r+1]++
 		lastR, lastC = r, col
 	}
-	// Compaction pass: duplicates that summed to exactly zero are
-	// structural noise (Add already refuses literal zeros), so the test
-	// below is an exact cancellation check, not a tolerance question.
-	keep := 0
-	for i, v := range csr.Val {
-		if v == 0 { // exact cancellation check; zero compares are floatcmp-exempt
-			continue
-		}
-		csr.Val[keep], csr.ColIdx[keep] = v, csr.ColIdx[i]
-		csr.RowPtr[rows[i]+1]++
-		keep++
-	}
-	csr.Val, csr.ColIdx = csr.Val[:keep], csr.ColIdx[:keep]
+	p.start = append(p.start, int32(n))
 	for i := 0; i < c.Rows; i++ {
-		csr.RowPtr[i+1] += csr.RowPtr[i]
+		p.rowPtr[i+1] += p.rowPtr[i]
 	}
+	return p
+}
+
+// NNZ returns the number of merged entries before cancellation
+// compaction; a CSR filled from the plan with fewer entries had a sum
+// cancel to exactly zero.
+func (p *MergePlan) NNZ() int { return len(p.colIdx) }
+
+// sum merges entry s: the first triplet, then each duplicate added in
+// sorted order — the accumulation order of every merge.
+func (p *MergePlan) sum(v []float64, s int) float64 {
+	lo, hi := p.start[s], p.start[s+1]
+	x := v[p.perm[lo]]
+	for q := lo + 1; q < hi; q++ {
+		x += v[p.perm[q]]
+	}
+	return x
+}
+
+// Fill merges the triplet values v (in insertion order, one per planned
+// triplet) into a new CSR.  Sums that cancel to exactly zero are dropped,
+// as in ToCSR; when none does, the CSR shares the plan's RowPtr and
+// ColIdx.
+func (p *MergePlan) Fill(v []float64) *CSR {
+	if len(v) != len(p.perm) {
+		panic(fmt.Sprintf("linalg: merge plan for %d triplets filled with %d values", len(p.perm), len(v)))
+	}
+	nnz := len(p.colIdx)
+	val := make([]float64, nnz)
+	cancelled := false
+	for s := range val {
+		val[s] = p.sum(v, s)
+		// Add refuses literal zeros, so a zero here is an exact
+		// cancellation, not a tolerance question.
+		cancelled = cancelled || val[s] == 0 // exact cancellation check; zero compares are floatcmp-exempt
+	}
+	csr := &CSR{Rows: p.rows, Cols: p.cols, RowPtr: p.rowPtr, ColIdx: p.colIdx, Val: val}
+	if !cancelled {
+		return csr
+	}
+	// Compaction: the structure now depends on the values, so the CSR
+	// gets its own arrays.
+	rowPtr := make([]int, p.rows+1)
+	colIdx := make([]int, 0, nnz)
+	keep := 0
+	for i := 0; i < p.rows; i++ {
+		for s := p.rowPtr[i]; s < p.rowPtr[i+1]; s++ {
+			if val[s] == 0 { // exact cancellation check; zero compares are floatcmp-exempt
+				continue
+			}
+			val[keep] = val[s]
+			colIdx = append(colIdx, p.colIdx[s])
+			keep++
+		}
+		rowPtr[i+1] = keep
+	}
+	csr.RowPtr, csr.ColIdx, csr.Val = rowPtr, colIdx, val[:keep]
 	return csr
+}
+
+// EntriesFrom lists, in increasing order, the merged entries that sum
+// at least one triplet inserted at index first or later: the entries a
+// caller must Refill when only the tail of the triplet sequence changes
+// value.
+func (p *MergePlan) EntriesFrom(first int) []int32 {
+	var out []int32
+	for s := 0; s < len(p.colIdx); s++ {
+		for q := p.start[s]; q < p.start[s+1]; q++ {
+			if int(p.perm[q]) >= first {
+				out = append(out, int32(s))
+				break
+			}
+		}
+	}
+	return out
+}
+
+// Refill re-merges the listed entries of a, a CSR filled from this plan
+// without cancellation, from the triplet values v, in place.  Entries
+// not listed keep their values, so the caller lists every entry whose
+// triplets changed (EntriesFrom).  It reports false, leaving a partly
+// updated, when a listed sum cancels to exactly zero: the structure then
+// changes and only a fresh Fill gives ToCSR's answer.
+func (p *MergePlan) Refill(a *CSR, v []float64, entries []int32) bool {
+	if len(a.Val) != len(p.colIdx) || len(v) != len(p.perm) {
+		panic("linalg: Refill of a CSR or value list that does not match the merge plan")
+	}
+	for _, s := range entries {
+		x := p.sum(v, int(s))
+		if x == 0 { // exact cancellation check; zero compares are floatcmp-exempt
+			return false
+		}
+		a.Val[s] = x
+	}
+	return true
 }
 
 // CSR is a compressed-sparse-row matrix.  Column indices are strictly

@@ -102,6 +102,9 @@ func TestContractStudies(t *testing.T) {
 		{"techmap", 200, "miss"},
 		{"qualification", 200, "miss"},
 		{"study", 200, "miss"},
+		// A sealed-box board: the radiating faces make level 2 a multi-pass
+		// Picard solve, so this golden pins the relinearisation path.
+		{"study-free-convection", 200, "miss"},
 		{"bad-json", 400, ""},
 		{"bad-kind", 400, ""},
 		{"missing-section", 400, ""},

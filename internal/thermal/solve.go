@@ -222,12 +222,15 @@ func (m *Model) SolveSteady(opts *SolveOptions) (*Result, error) {
 
 	w := o.workerCount()
 	res := &Result{g: m.Grid}
-	// One private setup per call, shared by every Picard pass.
+	// One private setup per call, shared by every Picard pass, and one
+	// assembly: the first pass merges the full system, later passes
+	// refill only what depends on the surface temperature.
 	setup := linalg.NewSolverSetup()
+	asm := &assembly{m: m, workers: w}
 	var prev []float64
 	for outer := 0; outer < o.MaxOuter; outer++ {
 		res.OuterIterations = outer + 1
-		a, b := m.assembleObs(Tsurf, w, sp)
+		a, b := asm.nextObs(Tsurf, sp)
 		a.SetWorkers(w)
 		t, stats, err := m.linSolve(a, b, prev, &o, setup, sp)
 		res.Iterations = stats.Iterations
@@ -298,18 +301,18 @@ func (m *Model) hasRadiation() bool {
 	return false
 }
 
-// assembleObs wraps assemble with a child span and the assembly metrics
-// (thermal_matrix_nnz gauge, thermal_assembly_seconds histogram).  With
-// telemetry disabled it reduces to the bare assemble call plus two nil
-// checks.
-func (m *Model) assembleObs(Tsurf []float64, workers int, parent *obs.Span) (*linalg.CSR, []float64) {
+// nextObs wraps next with a child span and the assembly metrics
+// (thermal_matrix_nnz gauge, thermal_assembly_seconds histogram), one
+// of each per pass whether the pass merged or refilled.  With telemetry
+// disabled it reduces to the bare next call plus two nil checks.
+func (s *assembly) nextObs(Tsurf []float64, parent *obs.Span) (*linalg.CSR, []float64) {
 	sp := parent.Start("thermal.assemble")
 	reg := obs.Default()
 	if sp == nil && reg == nil {
-		return m.assemble(Tsurf, workers)
+		return s.next(Tsurf)
 	}
 	start := time.Now()
-	a, b := m.assemble(Tsurf, workers)
+	a, b := s.next(Tsurf)
 	nnz := len(a.Val)
 	sp.AttrInt("nnz", nnz)
 	sp.End()
@@ -338,12 +341,6 @@ func precKindFor(solver string) string {
 	}
 }
 
-// solveLabel keys the result cache with everything beyond the system
-// content that can change the outcome of a solve.
-func solveLabel(o *SolveOptions) string {
-	return fmt.Sprintf("thermal:%s:omega=%g:fallback=%t:maxiter=%d", o.Solver, o.SSOROmega, o.Fallback, o.MaxIter)
-}
-
 func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptions, setup *linalg.SolverSetup, parent *obs.Span) ([]float64, linalg.IterStats, error) {
 	switch o.Solver {
 	case "cg", "cg-jacobi", "cg-ssor", "cg-ic0", "bicgstab":
@@ -352,24 +349,6 @@ func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptio
 	}
 	sp := parent.Start("thermal.linSolve")
 	sp.Attr("solver", o.Solver)
-
-	// Exact-content repeats (a transient stepper that has reached steady
-	// state, replayed sweep points) skip the solve outright.  The cache
-	// is bypassed when the caller installed per-iteration hooks: a hit
-	// performs no iterations, so OnIteration traces would silently go
-	// missing and a fault-injection Stop would never be polled.
-	useCache := o.OnIteration == nil && o.Stop == nil
-	var key linalg.SolveKey
-	if useCache {
-		key = setup.Key(solveLabel(o), a, b, x0, o.Tol)
-		if x, stats, ok := setup.Cached(key); ok {
-			sp.Attr("cache", "hit")
-			sp.AttrInt("iterations", 0)
-			sp.AttrF("residual", stats.Residual)
-			sp.End()
-			return x, stats, nil
-		}
-	}
 
 	io := &linalg.IterOptions{Tol: o.Tol, MaxIter: o.MaxIter, OnIteration: o.OnIteration, Stop: o.Stop}
 	if io.Stop == nil {
@@ -422,8 +401,6 @@ func (m *Model) linSolve(a *linalg.CSR, b []float64, x0 []float64, o *SolveOptio
 		// and final residual; prefixing only the failing solver name
 		// keeps the figures from appearing twice in the message.
 		err = fmt.Errorf("thermal: %s solve failed: %w", o.Solver, err)
-	} else if useCache {
-		setup.Store(key, x, stats)
 	}
 	return x, stats, err
 }
@@ -473,22 +450,72 @@ func (m *Model) assembleInterior(coo *linalg.COO, k0, k1 int) {
 	}
 }
 
-// assemble builds the steady FV system A·T = b given the current surface
-// temperature estimate (for radiation linearisation).  With workers > 1
-// the interior-face loop is sharded by k-slab into private COO builders
-// that are concatenated in slab order, which reproduces the serial
-// triplet insertion sequence exactly — the assembled CSR is
-// bitwise-identical at any worker count.
+// assembly is the steady FV system A·T = b of one solve, kept across
+// its Picard passes (or time steps).  Only the radiating boundary terms
+// depend on the surface temperature, so only they change between passes.
+//
+// The first pass assembles every triplet — the interior-face
+// conductances, then one diagonal term per boundary cell in face order —
+// and merges them through a linalg.MergePlan, which is exactly
+// COO.ToCSR.  A single-pass solve (conduction, forced air) does no more
+// than that.  The first refill completes the plan: it lists the merged
+// entries that sum a boundary term (the boundary cells' diagonals).
+// Every refill then re-evaluates the boundary terms in their assembly
+// order, re-sums those entries in the plan's order and leaves the rest
+// of A as it is.  The triplet sequence and every summation order are
+// unchanged, so the refilled A and the recomputed b are bitwise what a
+// fresh assemble gives.
+//
+// A pass rebuilds from scratch instead when its boundary terms are not
+// the recorded sequence (a term that COO.Add would drop as zero, or a
+// film coefficient that falls to h ≤ 0) or when a refilled sum cancels
+// to exactly zero; and every pass rebuilds while the last merge had to
+// compact such a cancellation, since the structure then depends on the
+// values.
+type assembly struct {
+	m       *Model
+	workers int
+
+	a *linalg.CSR // refilled in place; its RowPtr/ColIdx are the plan's
+	b []float64
+
+	plan  *linalg.MergePlan // nil when the last merge compacted a cancellation
+	vals  []float64         // triplet values: nInt interior ones, then the boundary terms
+	nInt  int
+	cells []int32 // cell of each boundary term, in assembly order
+	dirty []int32 // entries that sum a boundary term; nil until the first refill
+}
+
+// assemble builds the steady FV system for Tsurf from scratch.
 func (m *Model) assemble(Tsurf []float64, workers int) (*linalg.CSR, []float64) {
+	s := &assembly{m: m, workers: workers}
+	return s.next(Tsurf)
+}
+
+// next returns the system for the surface temperature estimate Tsurf,
+// refilling the previous pass's system when it can.  The returned matrix
+// and vector are overwritten by the following call.
+func (s *assembly) next(Tsurf []float64) (*linalg.CSR, []float64) {
+	if s.a == nil || !s.refill(Tsurf) {
+		s.build(Tsurf)
+	}
+	return s.a, s.b
+}
+
+// build assembles and merges every triplet.  With workers > 1 the
+// interior-face loop is sharded by k-slab into private COO builders that
+// are concatenated in slab order, which reproduces the serial triplet
+// insertion sequence exactly — the assembled CSR is bitwise-identical at
+// any worker count.
+func (s *assembly) build(Tsurf []float64) {
+	m := s.m
 	g := m.Grid
 	n := g.NumCells()
 	coo := linalg.NewCOO(n, n)
-	b := make([]float64, n)
-
-	if workers > 1 && g.Nz > 1 {
-		rs := parallel.Ranges(g.Nz, workers)
+	if s.workers > 1 && g.Nz > 1 {
+		rs := parallel.Ranges(g.Nz, s.workers)
 		parts := make([]*linalg.COO, len(rs))
-		parallel.Blocks(g.Nz, workers, func(bi, lo, hi int) {
+		parallel.Blocks(g.Nz, s.workers, func(bi, lo, hi int) {
 			part := linalg.NewCOO(n, n)
 			m.assembleInterior(part, lo, hi)
 			parts[bi] = part
@@ -499,8 +526,64 @@ func (m *Model) assemble(Tsurf []float64, workers int) (*linalg.CSR, []float64) 
 	} else {
 		m.assembleInterior(coo, 0, g.Nz)
 	}
+	s.nInt = coo.NNZ()
 
-	// Boundary conditions.
+	s.b = make([]float64, n)
+	s.cells = s.cells[:0]
+	m.boundaryTerms(Tsurf, s.b, func(idx int, gTot float64) {
+		coo.Add(idx, idx, gTot)
+		if gTot != 0 { // COO.Add drops exact zeros
+			s.cells = append(s.cells, int32(idx))
+		}
+	})
+	m.addSources(s.b)
+
+	s.plan = coo.Plan()
+	s.vals = coo.Values()
+	s.a = s.plan.Fill(s.vals)
+	if s.a.NNZ() != s.plan.NNZ() {
+		s.plan = nil
+	}
+	s.dirty = nil
+}
+
+// refill re-evaluates the boundary terms and sources at Tsurf and
+// re-sums the entries they reach, reporting false when the pass must
+// rebuild instead (see assembly).
+func (s *assembly) refill(Tsurf []float64) bool {
+	if s.plan == nil {
+		return false
+	}
+	if s.dirty == nil {
+		s.dirty = s.plan.EntriesFrom(s.nInt)
+	}
+	clear(s.b)
+	k, same := 0, true
+	s.m.boundaryTerms(Tsurf, s.b, func(idx int, gTot float64) {
+		if gTot == 0 || !same { // COO.Add would drop the zero
+			return
+		}
+		if k == len(s.cells) || int(s.cells[k]) != idx {
+			same = false
+			return
+		}
+		s.vals[s.nInt+k] = gTot
+		k++
+	})
+	if !same || k != len(s.cells) {
+		return false
+	}
+	s.m.addSources(s.b)
+	return s.plan.Refill(s.a, s.vals, s.dirty)
+}
+
+// boundaryTerms evaluates the boundary conditions at the surface
+// temperature estimate Tsurf (the radiation linearisation point), face by
+// face in boundary-cell order.  For every cell with a non-adiabatic
+// condition and a positive film coefficient it accumulates gTot·T∞ into b
+// and passes the cell and its diagonal conductance gTot to add.
+func (m *Model) boundaryTerms(Tsurf, b []float64, add func(idx int, gTot float64)) {
+	g := m.Grid
 	for f := mesh.XMin; f < mesh.NumFaces; f++ {
 		face := f
 		g.BoundaryCells(face, func(i, j, k int) {
@@ -537,14 +620,17 @@ func (m *Model) assemble(Tsurf []float64, workers int) (*linalg.CSR, []float64) 
 				rFilm := 1 / (h * area)
 				gTot = 1 / (rCond + rFilm)
 			}
-			coo.Add(idx, idx, gTot)
+			add(idx, gTot)
 			b[idx] += gTot * bc.T
 		})
 	}
+}
 
-	// Volumetric sources.
+// addSources spreads each volumetric source over its box by cell volume
+// fraction, accumulating into b.
+func (m *Model) addSources(b []float64) {
+	g := m.Grid
 	for _, s := range m.sources {
-		// Spread power by cell volume fraction.
 		vol := 0.0
 		for k := s.box.K0; k < s.box.K1; k++ {
 			for j := s.box.J0; j < s.box.J1; j++ {
@@ -564,8 +650,6 @@ func (m *Model) assemble(Tsurf []float64, workers int) (*linalg.CSR, []float64) 
 			}
 		}
 	}
-
-	return coo.ToCSR(), b
 }
 
 // addPair adds a symmetric conductance between cells a and b.
@@ -674,13 +758,13 @@ func (m *Model) SolveTransient(T0 float64, opts *TransientOptions) (*Result, err
 	for i := range T {
 		T[i] = T0
 	}
-	// Per-cell heat capacity C = rho·cp·V.
-	cap := make([]float64, n)
+	// Per-cell heat capacity over the step, C/dt with C = rho·cp·V.
+	capDt := make([]float64, n)
 	for k := 0; k < g.Nz; k++ {
 		for j := 0; j < g.Ny; j++ {
 			for i := 0; i < g.Nx; i++ {
 				mat := m.matAt(i, j, k)
-				cap[g.Index(i, j, k)] = mat.VolumetricHeatCapacity() * g.CellVolume(i, j, k)
+				capDt[g.Index(i, j, k)] = mat.VolumetricHeatCapacity() * g.CellVolume(i, j, k) / opts.Dt
 			}
 		}
 	}
@@ -692,24 +776,20 @@ func (m *Model) SolveTransient(T0 float64, opts *TransientOptions) (*Result, err
 
 	w := o.workerCount()
 	res := &Result{g: g}
-	// One private setup per call, shared by every time step.
+	// One private setup per call, shared by every time step, and one
+	// assembly whose merge plan every step after the first refills.
 	setup := linalg.NewSolverSetup()
+	asm := &assembly{m: m, workers: w}
 	rhs := make([]float64, n)
 	t := 0.0
 	for step := 0; step < opts.Steps; step++ {
-		a, b := m.assembleObs(T, w, sp)
-		// (C/dt + A)·T^{n+1} = C/dt·T^n + b — fold capacity into a copy of
-		// the assembled operator.
-		coo := linalg.NewCOO(n, n)
-		for i := 0; i < n; i++ {
-			for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
-				coo.Add(i, a.ColIdx[kk], a.Val[kk])
-			}
-			coo.Add(i, i, cap[i]/opts.Dt)
-			rhs[i] = b[i] + cap[i]/opts.Dt*T[i]
-		}
-		sys := coo.ToCSR()
+		a, b := asm.nextObs(T, sp)
+		// (C/dt + A)·T^{n+1} = C/dt·T^n + b
+		sys := withCapacity(a, capDt)
 		sys.SetWorkers(w)
+		for i := range rhs {
+			rhs[i] = b[i] + capDt[i]*T[i]
+		}
 		Tn, stats, err := m.linSolve(sys, rhs, T, &o, setup, sp)
 		res.Iterations = stats.Iterations
 		if err != nil {
@@ -724,4 +804,50 @@ func (m *Model) SolveTransient(T0 float64, opts *TransientOptions) (*Result, err
 	res.T = T
 	res.OuterIterations = opts.Steps
 	return res, nil
+}
+
+// withCapacity returns the backward-Euler step operator A + diag(c).
+// Each diagonal then sums exactly two terms, a_ii and c_i, and floating
+// addition is commutative, so adding c onto the stored diagonal is
+// bitwise what merging A's entries and the c triplets through a COO
+// gives, without the second sort.  The result shares A's RowPtr and
+// ColIdx.  A row with no stored diagonal, or a diagonal that cancels to
+// exactly zero, changes the structure: that step takes the COO merge
+// instead.
+func withCapacity(a *linalg.CSR, c []float64) *linalg.CSR {
+	sys := &linalg.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: append([]float64(nil), a.Val...)}
+	for i := 0; i < a.Rows; i++ {
+		if c[i] == 0 { // COO.Add drops a zero term: the diagonal stays a_ii
+			continue
+		}
+		d := -1
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if a.ColIdx[k] == i {
+				d = k
+				break
+			}
+		}
+		if d < 0 {
+			return withCapacityCOO(a, c)
+		}
+		sys.Val[d] += c[i]
+		if sys.Val[d] == 0 { // exact cancellation check; zero compares are floatcmp-exempt
+			return withCapacityCOO(a, c)
+		}
+	}
+	return sys
+}
+
+// withCapacityCOO forms A + diag(c) by merging every stored entry of A
+// and the c triplets through a COO: the general path withCapacity falls
+// back to when the structure changes.
+func withCapacityCOO(a *linalg.CSR, c []float64) *linalg.CSR {
+	coo := linalg.NewCOO(a.Rows, a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			coo.Add(i, a.ColIdx[k], a.Val[k])
+		}
+		coo.Add(i, i, c[i])
+	}
+	return coo.ToCSR()
 }

@@ -3,6 +3,7 @@ package thermal
 import (
 	"testing"
 
+	"aeropack/internal/linalg"
 	"aeropack/internal/materials"
 	"aeropack/internal/mesh"
 )
@@ -59,16 +60,98 @@ func TestSolveTransientParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	popts := TransientOptions{Dt: 2, Steps: 5}
-	popts.Parallel = true
-	popts.Workers = 4
-	par, err := m.SolveTransient(300, &popts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := cooTransient(t, m, 300, opts)
 	for i := range serial.T {
-		if par.T[i] != serial.T[i] {
-			t.Fatalf("cell %d: %v vs serial %v (must be bitwise identical)", i, par.T[i], serial.T[i])
+		if serial.T[i] != ref[i] {
+			t.Fatalf("cell %d: %v vs the COO formulation %v (must be bitwise identical)", i, serial.T[i], ref[i])
+		}
+	}
+	for _, w := range []int{2, 3, 4} {
+		popts := TransientOptions{Dt: 2, Steps: 5}
+		popts.Parallel = true
+		popts.Workers = w
+		par, err := m.SolveTransient(300, &popts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range serial.T {
+			if par.T[i] != serial.T[i] {
+				t.Fatalf("workers=%d: cell %d: %v vs serial %v (must be bitwise identical)", w, i, par.T[i], serial.T[i])
+			}
+		}
+	}
+}
+
+// cooTransient is the backward-Euler stepper in its original form: a
+// fresh assembly every step, and the step operator formed by re-adding
+// every assembled entry and the C/dt diagonal into a new COO and merging
+// it again.  SolveTransient must reproduce it bit for bit.
+func cooTransient(t *testing.T, m *Model, T0 float64, opts TransientOptions) []float64 {
+	t.Helper()
+	g := m.Grid
+	n := g.NumCells()
+	o := opts.SolveOptions
+	o.defaults(n)
+	T := make([]float64, n)
+	capacity := make([]float64, n)
+	for k := 0; k < g.Nz; k++ {
+		for j := 0; j < g.Ny; j++ {
+			for i := 0; i < g.Nx; i++ {
+				T[g.Index(i, j, k)] = T0
+				capacity[g.Index(i, j, k)] = m.matAt(i, j, k).VolumetricHeatCapacity() * g.CellVolume(i, j, k)
+			}
+		}
+	}
+	setup := linalg.NewSolverSetup()
+	rhs := make([]float64, n)
+	for step := 0; step < opts.Steps; step++ {
+		a, b := m.assemble(T, 1)
+		coo := linalg.NewCOO(n, n)
+		for i := 0; i < n; i++ {
+			for kk := a.RowPtr[i]; kk < a.RowPtr[i+1]; kk++ {
+				coo.Add(i, a.ColIdx[kk], a.Val[kk])
+			}
+			coo.Add(i, i, capacity[i]/opts.Dt)
+			rhs[i] = b[i] + capacity[i]/opts.Dt*T[i]
+		}
+		Tn, _, err := m.linSolve(coo.ToCSR(), rhs, T, &o, setup, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(T, Tn)
+	}
+	return T
+}
+
+// TestWithCapacityMatchesCOO checks the step operator against the COO
+// merge it replaces, including the rows that must take the COO path: a
+// row with no stored diagonal and a diagonal that cancels exactly.
+func TestWithCapacityMatchesCOO(t *testing.T) {
+	build := func(entries [][3]float64) *linalg.CSR {
+		coo := linalg.NewCOO(3, 3)
+		for _, e := range entries {
+			coo.Add(int(e[0]), int(e[1]), e[2])
+		}
+		return coo.ToCSR()
+	}
+	full := build([][3]float64{{0, 0, 2.5}, {0, 1, -1.1}, {1, 0, -1.1}, {1, 1, 3.3}, {1, 2, -0.7}, {2, 1, -0.7}, {2, 2, 0.9}})
+	noDiag := build([][3]float64{{0, 0, 2.5}, {0, 1, -1.1}, {1, 0, -1.1}, {2, 2, 0.9}})
+	for _, tc := range []struct {
+		name    string
+		a       *linalg.CSR
+		c       []float64
+		general bool // the structure changes: withCapacity must take the COO path
+	}{
+		{"diagonal", full, []float64{0.1, 1e-17, 7.25}, false},
+		{"zero-capacity", full, []float64{0, 0.4, 0}, false},
+		{"missing-diagonal", noDiag, []float64{0.1, 0.2, 0.3}, true},
+		{"missing-diagonal-zero-capacity", noDiag, []float64{0.1, 0, 0.3}, false},
+		{"cancellation", full, []float64{0.1, -3.3, 0.3}, true},
+	} {
+		got := withCapacity(tc.a, tc.c)
+		sameSystem(t, tc.name, got, nil, withCapacityCOO(tc.a, tc.c), nil)
+		if shared := &got.ColIdx[0] == &tc.a.ColIdx[0]; shared == tc.general {
+			t.Errorf("%s: shares the assembled structure = %v, want %v", tc.name, shared, !tc.general)
 		}
 	}
 }

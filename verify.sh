@@ -85,8 +85,8 @@ coverage_floor ./internal/lint 85
 echo "== solver performance guard (E5 iteration budget, parallel-vs-serial)"
 AEROPACK_SOLVER_GUARD=1 go test -run TestSolverPerfGuard -v . | grep -v '^=== '
 
-echo "== solver benchmark smoke (BenchmarkE5_Fig10 + Par pair + plate FEM modal, 1 iteration)"
-go test -run - -bench 'BenchmarkE5_Fig10$|BenchmarkPar_SolveSteady|BenchmarkExt_PlateFEMvsClosedForm$' -benchtime 1x .
+echo "== solver benchmark smoke (BenchmarkE5_Fig10 + Par pair + free-convection level 2 + plate FEM modal, 1 iteration)"
+go test -run - -bench 'BenchmarkE5_Fig10$|BenchmarkPar_SolveSteady|BenchmarkE2_Level2FreeConvection$|BenchmarkExt_PlateFEMvsClosedForm$' -benchtime 1x .
 
 echo "== full-module lint benchmark smoke (BenchmarkLintModule, 1 iteration)"
 go test -run - -bench BenchmarkLintModule -benchtime 1x ./internal/lint
