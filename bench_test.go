@@ -29,6 +29,7 @@ import (
 	"aeropack/internal/parallel"
 	"aeropack/internal/reliability"
 	"aeropack/internal/report"
+	"aeropack/internal/robust"
 	"aeropack/internal/thermal"
 	"aeropack/internal/tim"
 	"aeropack/internal/twophase"
@@ -37,6 +38,10 @@ import (
 )
 
 var printOnce sync.Map
+
+// oneWorker runs a study's points one after another: the serial
+// baseline of the Par_* pairs and the E-table runs.
+var oneWorker = robust.Options{Workers: 1}
 
 // emit prints a block once per process so repeated bench iterations stay
 // quiet.
@@ -384,7 +389,7 @@ func BenchmarkE5_Fig10(b *testing.B) {
 	reg := benchRegistry(b)
 	for i := 0; i < b.N; i++ {
 		al := materials.Al6061
-		s, err := cosee.RunFig10(al)
+		s, _, err := cosee.RunFig10Opts(cosee.Fig10Options{Structure: al, Options: oneWorker})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -397,7 +402,7 @@ func BenchmarkE5_Fig10(b *testing.B) {
 				{"with LHP (horizontal)", cosee.Config{UseLHP: true, Structure: al}},
 				{"with LHP (22° tilt)", cosee.Config{UseLHP: true, TiltDeg: 22, Structure: al}},
 			} {
-				pts, err := cfg.c.Sweep(powers)
+				pts, _, err := cfg.c.Sweep(powers, oneWorker)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -439,7 +444,7 @@ func BenchmarkE5_Fig10(b *testing.B) {
 
 func BenchmarkE6_CompositeSeat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cc, err := cosee.RunFig10(materials.CarbonComposite)
+		cc, _, err := cosee.RunFig10Opts(cosee.Fig10Options{Structure: materials.CarbonComposite, Options: oneWorker})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -488,7 +493,7 @@ func e7Article() *envtest.Article {
 
 func BenchmarkE7_Qualification(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := envtest.DefaultCampaign().RunAll(e7Article())
+		results, _, err := envtest.DefaultCampaign().Run(e7Article(), oneWorker)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -848,7 +853,7 @@ func TestBenchSmoke(t *testing.T) {
 	if _, err := cfg.Solve(60); err != nil {
 		t.Error(err)
 	}
-	if _, err := envtest.DefaultCampaign().RunAll(e7Article()); err != nil {
+	if _, _, err := envtest.DefaultCampaign().Run(e7Article(), oneWorker); err != nil {
 		t.Error(err)
 	}
 	if _, err := nanopack.EvaluateHNC(2e5); err != nil {
@@ -932,7 +937,7 @@ func BenchmarkExt_SEBWarmup(b *testing.B) {
 
 func BenchmarkExt_ExtendedQualification(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := envtest.DefaultExtended().RunAll(e7Article())
+		results, _, err := envtest.DefaultExtended().Run(e7Article(), oneWorker)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1255,7 +1260,7 @@ func BenchmarkPar_Fig10SweepSerial(b *testing.B) {
 	powers := parallelBenchPowers()
 	for i := 0; i < b.N; i++ {
 		cfg := cosee.Config{UseLHP: true}
-		if _, err := cfg.Sweep(powers); err != nil {
+		if _, _, err := cfg.Sweep(powers, oneWorker); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1273,7 +1278,7 @@ func BenchmarkPar_Fig10SweepParallel(b *testing.B) {
 
 func BenchmarkPar_Fig10SummarySerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := cosee.RunFig10(materials.Al6061); err != nil {
+		if _, _, err := cosee.RunFig10Opts(cosee.Fig10Options{Structure: materials.Al6061, Options: oneWorker}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1281,7 +1286,7 @@ func BenchmarkPar_Fig10SummarySerial(b *testing.B) {
 
 func BenchmarkPar_Fig10SummaryParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := cosee.RunFig10Parallel(materials.Al6061, 0); err != nil {
+		if _, _, err := cosee.RunFig10Opts(cosee.Fig10Options{Structure: materials.Al6061}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1353,7 +1358,7 @@ func BenchmarkPar_SolveSteadyParallel(b *testing.B) {
 func BenchmarkPar_CampaignSerial(b *testing.B) {
 	c := envtest.DefaultCampaign()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.RunAll(e7Article()); err != nil {
+		if _, _, err := c.Run(e7Article(), oneWorker); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,8 +9,12 @@
 //	aeropack -spec board.json     # run a JSON specification
 //	aeropack -demo                # print a ready-to-edit example spec
 //	aeropack -spec board.json -doc
+//	aeropack -spec board.json -keep-going
 //	aeropack -equipment rack.json # multi-board equipment study
 //	aeropack -equipment-demo
+//
+// A -spec run is one core.StudyOpts call whose robust.Options carry
+// -keep-going.
 package main
 
 import (
@@ -180,18 +184,12 @@ func main() {
 	screen := core.DefaultScreen(env)
 	screen.AmbientC = *ambient
 
-	var rep *core.Report
-	var pointErrs []*robust.PointError
-	if *keepGoing {
-		rep, pointErrs = core.StudyKeepGoing(board, screen)
-		for _, pe := range pointErrs {
-			fmt.Fprintln(os.Stderr, "aeropack: keep-going:", pe)
-		}
-		if rep == nil {
-			fail(1, robust.FirstError(pointErrs))
-		}
-	} else if rep, err = core.Study(board, screen); err != nil {
+	rep, pointErrs, err := core.StudyOpts(board, screen, robust.Options{KeepGoing: *keepGoing})
+	if err != nil {
 		fail(1, err)
+	}
+	for _, pe := range pointErrs {
+		fmt.Fprintln(os.Stderr, "aeropack: keep-going:", pe)
 	}
 	// Document dereferences every section, so a partial report falls back
 	// to the nil-guarded summary tables.

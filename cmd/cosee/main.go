@@ -6,8 +6,13 @@
 // Usage:
 //
 //	cosee [-structure Al6061|CarbonComposite] [-tilt 22] [-pmax 110] [-step 10]
+//	      [-csv] [-workers 1] [-keep-going]
 //	      [-trace trace.json] [-metrics metrics.json] [-events events.json]
 //	      [-serve :8080]
+//
+// The three curves are (*cosee.Config).Sweep calls and the summary one
+// cosee.RunFig10Opts call, all under the same robust.Options built from
+// -workers and -keep-going.
 package main
 
 import (
@@ -68,22 +73,23 @@ func main() {
 		powers = append(powers, p)
 	}
 
-	// Sweeps always route through the pool layer so utilisation telemetry
-	// covers every run; workers == 1 takes the pool's serial path, whose
-	// results (and output) are identical to Sweep's.  With -keep-going a
-	// failed point is reported on stderr and kept as NaN in the output
-	// instead of aborting; failures counts the points lost that way.
+	// Every study runs under one robust.Options: workers == 1 is the
+	// pool's serial path, and the output is identical at any count.  With
+	// -keep-going a failed point is reported on stderr and kept as NaN in
+	// the output instead of aborting; failures counts the points lost
+	// that way.
+	opts := robust.Options{Workers: *workers, KeepGoing: *keepGoing}
 	failures := 0
-	sweep := func(cfg cosee.Config) ([]cosee.Point, error) {
-		if *keepGoing {
-			pts, errs := cfg.SweepKeepGoing(powers, *workers)
-			for _, pe := range errs {
-				fmt.Fprintln(os.Stderr, "cosee: keep-going:", pe)
-			}
-			failures += len(errs)
-			return pts, nil
+	noteFailures := func(errs []*robust.PointError) {
+		for _, pe := range errs {
+			fmt.Fprintln(os.Stderr, "cosee: keep-going:", pe)
 		}
-		return cfg.SweepParallel(powers, *workers)
+		failures += len(errs)
+	}
+	sweep := func(cfg cosee.Config) ([]cosee.Point, error) {
+		pts, errs, err := cfg.Sweep(powers, opts)
+		noteFailures(errs)
+		return pts, err
 	}
 	// exit joins the ops endpoint, flushes telemetry and terminates with
 	// code 4 when -keep-going swallowed failures, 0 on a clean run.
@@ -146,17 +152,11 @@ func main() {
 		fmt.Print(s.String())
 	}
 
-	var sum *cosee.Fig10Summary
-	if *keepGoing {
-		var errs []*robust.PointError
-		sum, errs = cosee.RunFig10KeepGoing(mat, *workers, nil)
-		for _, pe := range errs {
-			fmt.Fprintln(os.Stderr, "cosee: keep-going:", pe)
-		}
-		failures += len(errs)
-	} else if sum, err = cosee.RunFig10Parallel(mat, *workers); err != nil {
+	sum, errs, err := cosee.RunFig10Opts(cosee.Fig10Options{Structure: mat, Options: opts})
+	if err != nil {
 		fail(err)
 	}
+	noteFailures(errs)
 	t := report.NewTable("Headline summary ("+mat.Name+")", "quantity", "value")
 	t.AddRow("capability without LHP @ΔT=60K", fmt.Sprintf("%.1f W", sum.CapabilityNoLHP))
 	t.AddRow("capability with LHP @ΔT=60K", fmt.Sprintf("%.1f W", sum.CapabilityLHP))

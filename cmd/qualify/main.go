@@ -8,6 +8,11 @@
 //	qualify -demo > article.json      # print an editable example
 //	qualify -article article.json
 //	qualify -article article.json -extended
+//	qualify -article article.json -workers 4 -keep-going
+//
+// The campaign is one envtest.Campaign.Run (or Extended.Run with
+// -extended) call under the robust.Options built from -workers and
+// -keep-going.
 package main
 
 import (
@@ -113,22 +118,11 @@ func main() {
 		fail(1, err)
 	}
 
-	var results []envtest.Result
-	var pointErrs []*robust.PointError
-	switch {
-	case *keepGoing && *extended:
-		results, pointErrs = envtest.DefaultExtended().RunAllKeepGoing(article, *workers)
-	case *keepGoing:
-		results, pointErrs = envtest.DefaultCampaign().RunAllKeepGoing(article, *workers)
-	case *extended && *workers == 1:
-		results, err = envtest.DefaultExtended().RunAll(article)
-	case *extended:
-		results, err = envtest.DefaultExtended().RunAllParallel(article, *workers)
-	case *workers == 1:
-		results, err = envtest.DefaultCampaign().RunAll(article)
-	default:
-		results, err = envtest.DefaultCampaign().RunAllParallel(article, *workers)
+	run := envtest.DefaultCampaign().Run
+	if *extended {
+		run = envtest.DefaultExtended().Run
 	}
+	results, pointErrs, err := run(article, robust.Options{Workers: *workers, KeepGoing: *keepGoing})
 	if err != nil {
 		fail(1, err)
 	}

@@ -144,99 +144,59 @@ type Report struct {
 	Findings []string
 }
 
-// Study runs the paper's co-design flow on one board: level-1 technology
-// screen, level-2 FV board model, level-3 junction temperatures, and the
-// parallel mechanical design (modal placement + random vibration).
+// Study runs the paper's co-design flow on one board, aborting on the
+// first failed pass.  It is StudyOpts with zero options and stays
+// because the aeropackbench module, which pins its signature, calls it.
 func Study(b *BoardDesign, screen Screen) (*Report, error) {
-	b.defaults()
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	sp := obs.Start(nil, "core.Study")
-	defer sp.End()
-	sp.Attr("board", b.Name)
-	rep := &Report{Board: b}
-
-	// ---- Level 1: technology screen on power and peak flux.
-	a1, peakFlux, err := b.level1(screen, sp)
-	if err != nil {
-		return nil, err
-	}
-	rep.Level1 = a1
-	if !rep.Level1.Feasible {
-		rep.Findings = append(rep.Findings,
-			fmt.Sprintf("level 1: %v infeasible for %.0f W / %.1f W/cm²",
-				b.EdgeCooling, b.TotalPower(), peakFlux))
-	}
-
-	// ---- Level 2: finite-volume board model.
-	l2, err := b.level2(screen, sp)
-	if err != nil {
-		return nil, err
-	}
-	rep.Level2 = l2
-	if l2.MaxBoardC > b.MaxJunctionC {
-		rep.Findings = append(rep.Findings,
-			fmt.Sprintf("level 2: board reaches %.0f °C before component rise", l2.MaxBoardC))
-	}
-
-	// ---- Level 3: junction temperatures on local board temperature.
-	l3, err := b.level3(l2, sp)
-	if err != nil {
-		return nil, err
-	}
-	rep.Level3 = l3
-	if !l3.AllPass {
-		rep.Findings = append(rep.Findings,
-			fmt.Sprintf("level 3: junction limit exceeded (worst %.0f °C)", l3.WorstC))
-	}
-
-	// ---- Mechanical design in parallel.
-	mres, err := b.mechanical(sp)
-	if err != nil {
-		return nil, err
-	}
-	rep.Mech = mres
-	if b.TargetModeHz > 0 && !mres.ModePlaced {
-		rep.Findings = append(rep.Findings,
-			fmt.Sprintf("mech: fundamental %.0f Hz misses allocation %.0f Hz", mres.FundamentalHz, b.TargetModeHz))
-	}
-	if !mres.FatigueOK {
-		rep.Findings = append(rep.Findings, "mech: random-vibration fatigue limit exceeded")
-	}
-
-	rep.Feasible = rep.Level1.Feasible && l3.AllPass && mres.FatigueOK &&
-		(b.TargetModeHz == 0 || mres.ModePlaced)
-	return rep, nil
+	rep, _, err := StudyOpts(b, screen, robust.Options{})
+	return rep, err
 }
 
-// StudyKeepGoing runs the same four passes as Study but captures each
-// pass's failure as a robust.PointError (indexed in pass order: 0
-// level1, 1 level2, 2 level3, 3 mech) instead of aborting, so a report
-// with the surviving sections is always produced.  Level 3 needs the
-// level-2 field and is recorded as skipped when level 2 failed; the
-// mechanical pass is independent and always runs.  A report with any
-// errors is never Feasible, and each error is also appended to
-// Findings.  A nil error slice means the report equals Study's.
-func StudyKeepGoing(b *BoardDesign, screen Screen) (*Report, []*robust.PointError) {
+// StudyOpts runs the paper's co-design flow on one board: level-1
+// technology screen, level-2 FV board model, level-3 junction
+// temperatures, and the parallel mechanical design (modal placement +
+// random vibration).  The passes run in that order; o.Workers is
+// unused.  Without o.KeepGoing the first failed pass aborts the study.
+// With it, each pass's failure becomes a robust.PointError (indexed in
+// pass order: 0 level1, 1 level2, 2 level3, 3 mech), is appended to
+// Findings, and the report keeps the surviving sections: level 3 needs
+// the level-2 field and is recorded as skipped when level 2 failed,
+// while the mechanical pass is independent and always runs.  A report
+// with errors is never Feasible; without errors it equals a strict
+// run's.  An invalid board has no report in either mode: with KeepGoing
+// its error comes back as the PointError "validate".
+func StudyOpts(b *BoardDesign, screen Screen, o robust.Options) (*Report, []*robust.PointError, error) {
 	b.defaults()
 	if err := b.Validate(); err != nil {
-		return nil, []*robust.PointError{{Index: 0, Label: "validate", Err: err}}
+		if o.KeepGoing {
+			err = &robust.PointError{Index: 0, Label: "validate", Err: err}
+		}
+		return nil, nil, err
 	}
 	sp := obs.Start(nil, "core.Study")
 	defer sp.End()
 	sp.Attr("board", b.Name)
-	sp.Attr("keep_going", "true")
+	if o.KeepGoing {
+		sp.Attr("keep_going", "true")
+	}
 	rep := &Report{Board: b}
 	var errs []*robust.PointError
-	fail := func(idx int, label string, err error) {
+	// failed handles a pass error: it aborts a strict study (the
+	// returned error) and is recorded on a keep-going one.
+	failed := func(idx int, label string, err error) error {
+		if !o.KeepGoing {
+			return err
+		}
 		errs = append(errs, &robust.PointError{Index: idx, Label: label, Err: err})
 		rep.Findings = append(rep.Findings, fmt.Sprintf("%s: ERROR: %v", label, err))
+		return nil
 	}
 
-	a1, peakFlux, err := b.level1(screen, sp)
-	if err != nil {
-		fail(0, "level1", err)
+	// ---- Level 1: technology screen on power and peak flux.
+	if a1, peakFlux, err := b.level1(screen, sp); err != nil {
+		if err := failed(0, "level1", err); err != nil {
+			return nil, nil, err
+		}
 	} else {
 		rep.Level1 = a1
 		if !a1.Feasible {
@@ -246,9 +206,12 @@ func StudyKeepGoing(b *BoardDesign, screen Screen) (*Report, []*robust.PointErro
 		}
 	}
 
+	// ---- Level 2: finite-volume board model.
 	l2, err := b.level2(screen, sp)
 	if err != nil {
-		fail(1, "level2", err)
+		if err := failed(1, "level2", err); err != nil {
+			return nil, nil, err
+		}
 	} else {
 		rep.Level2 = l2
 		if l2.MaxBoardC > b.MaxJunctionC {
@@ -257,10 +220,15 @@ func StudyKeepGoing(b *BoardDesign, screen Screen) (*Report, []*robust.PointErro
 		}
 	}
 
-	if l2 == nil {
-		fail(2, "level3", fmt.Errorf("core: skipped, needs the level-2 board field"))
+	// ---- Level 3: junction temperatures on local board temperature.
+	if rep.Level2 == nil {
+		if err := failed(2, "level3", fmt.Errorf("core: skipped, needs the level-2 board field")); err != nil {
+			return nil, nil, err
+		}
 	} else if l3, err := b.level3(l2, sp); err != nil {
-		fail(2, "level3", err)
+		if err := failed(2, "level3", err); err != nil {
+			return nil, nil, err
+		}
 	} else {
 		rep.Level3 = l3
 		if !l3.AllPass {
@@ -269,9 +237,11 @@ func StudyKeepGoing(b *BoardDesign, screen Screen) (*Report, []*robust.PointErro
 		}
 	}
 
-	mres, err := b.mechanical(sp)
-	if err != nil {
-		fail(3, "mech", err)
+	// ---- Mechanical design in parallel.
+	if mres, err := b.mechanical(sp); err != nil {
+		if err := failed(3, "mech", err); err != nil {
+			return nil, nil, err
+		}
 	} else {
 		rep.Mech = mres
 		if b.TargetModeHz > 0 && !mres.ModePlaced {
@@ -287,7 +257,7 @@ func StudyKeepGoing(b *BoardDesign, screen Screen) (*Report, []*robust.PointErro
 		rep.Level3 != nil && rep.Level3.AllPass &&
 		rep.Mech != nil && rep.Mech.FatigueOK &&
 		(b.TargetModeHz == 0 || rep.Mech.ModePlaced)
-	return rep, errs
+	return rep, errs, nil
 }
 
 // level1 runs the technology screen on total power and peak component

@@ -95,7 +95,7 @@ type Config struct {
 	// solves dozens of near-identical systems (same topology, different
 	// power), and the cache lets them share the IC(0) symbolic pattern
 	// and any value-identical preconditioner factors.  Created lazily by
-	// Defaults; copies of a defaulted Config (SweepParallel workers)
+	// Defaults; copies of a defaulted Config (pooled Sweep workers)
 	// share the pointer, which the cache is designed for.
 	setup *linalg.SolverSetup
 }
@@ -430,77 +430,48 @@ func (c *Config) solveObsWarm(parent *obs.Span, power float64, warm *thermal.Net
 }
 
 // Sweep evaluates the ΔT(P) curve over the given powers — one Fig. 10
-// series.
-func (c *Config) Sweep(powers []float64) ([]Point, error) {
+// series — across at most o.Workers goroutines.  Each power is solved
+// on a private copy of the configuration (Defaults mutates the
+// receiver, so sharing one Config between goroutines would race) and
+// the points land in input order, so the curve is identical at any
+// worker count.  Without o.KeepGoing the first failure aborts the
+// sweep.  With it, each failed point keeps its PowerW with NaN for the
+// solved fields and comes back as a robust.PointError (in input order),
+// while every surviving point is bitwise-identical to a clean sweep's.
+func (c *Config) Sweep(powers []float64, o robust.Options) ([]Point, []*robust.PointError, error) {
 	sp := obs.Start(nil, "cosee.Sweep")
 	defer sp.End()
 	sp.AttrInt("points", len(powers))
-	prog := obs.CurrentBoard().Begin("cosee.Sweep", len(powers))
-	defer prog.Finish()
-	out := make([]Point, 0, len(powers))
-	for _, p := range powers {
-		pt, err := c.solveObs(sp, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pt)
-		prog.Step(1)
+	sp.AttrInt("workers", parallel.Workers(o.Workers))
+	if o.KeepGoing {
+		sp.Attr("keep_going", "true")
 	}
-	return out, nil
-}
-
-// SweepParallel evaluates the same curve as Sweep across at most
-// workers goroutines (<= 0 means GOMAXPROCS).  Each power is solved on
-// a private copy of the configuration — Defaults mutates the receiver,
-// so sharing one Config between goroutines would race — and the points
-// land in input order, so the result is identical to Sweep's.
-func (c *Config) SweepParallel(powers []float64, workers int) ([]Point, error) {
-	sp := obs.Start(nil, "cosee.Sweep")
-	defer sp.End()
-	sp.AttrInt("points", len(powers))
-	sp.AttrInt("workers", parallel.Workers(workers))
 	prog := obs.CurrentBoard().Begin("cosee.Sweep", len(powers))
 	defer prog.Finish()
 	cc := *c
 	cc.Defaults()
-	return parallel.Map(powers, workers, func(_ int, p float64) (Point, error) {
-		cfg := cc
-		pt, err := cfg.solveObs(sp, p)
-		if err == nil {
-			prog.Step(1)
-		}
-		return pt, err
-	})
-}
-
-// SweepKeepGoing evaluates the same curve as SweepParallel but converts
-// per-point failures into robust.PointError values instead of aborting:
-// every surviving point is bitwise-identical to the one SweepParallel
-// would have produced, and each failed point keeps its PowerW with NaN
-// for the solved fields.  The second return lists the failures in input
-// order (empty on a clean sweep).
-func (c *Config) SweepKeepGoing(powers []float64, workers int) ([]Point, []*robust.PointError) {
-	sp := obs.Start(nil, "cosee.Sweep")
-	defer sp.End()
-	sp.AttrInt("points", len(powers))
-	sp.AttrInt("workers", parallel.Workers(workers))
-	sp.Attr("keep_going", "true")
-	prog := obs.CurrentBoard().Begin("cosee.Sweep", len(powers))
-	defer prog.Finish()
-	cc := *c
-	cc.Defaults()
-	out, errs := robust.MapKeepGoing(powers, workers,
+	out, errs, err := robust.Map(powers, o,
 		func(_ int, p float64) string { return fmt.Sprintf("P=%g W", p) },
 		func(_ int, p float64) (Point, error) {
 			cfg := cc
 			pt, err := cfg.solveObs(sp, p)
-			prog.Step(1) // keep-going sweeps count failed points as visited
+			prog.Step(1) // failed points count as visited
 			return pt, err
 		})
+	if err != nil {
+		return nil, nil, err
+	}
 	for _, pe := range errs {
 		out[pe.Index] = Point{PowerW: powers[pe.Index], DeltaTK: math.NaN(), LHPPower: math.NaN()}
 	}
-	return out, errs
+	return out, errs, nil
+}
+
+// SweepParallel is Sweep aborting on the first failure.  It stays
+// because the aeropackbench module, which pins its signature, calls it.
+func (c *Config) SweepParallel(powers []float64, workers int) ([]Point, error) {
+	pts, _, err := c.Sweep(powers, robust.Options{Workers: workers})
+	return pts, err
 }
 
 // CapabilityAt returns the dissipated power at which the PCB sits
@@ -568,72 +539,17 @@ type Fig10Summary struct {
 	LHPPowerAt100W  float64 // the "58 W through the loops" number
 }
 
-// RunFig10 executes the full Fig. 10 comparison for the given structural
-// material (aluminium for the headline, carbon composite for §IV.A's
-// second test).
-func RunFig10(structure materials.Material) (*Fig10Summary, error) {
-	sp := obs.Start(nil, "cosee.RunFig10")
-	defer sp.End()
-	sp.Attr("structure", structure.Name)
-	prog := obs.CurrentBoard().Begin("cosee.RunFig10", 6)
-	defer prog.Finish()
-	base := Config{Structure: structure}
-	withLHP := Config{UseLHP: true, Structure: structure}
-	tilted := Config{UseLHP: true, TiltDeg: 22, Structure: structure}
-
-	var s Fig10Summary
-	var err error
-	if s.CapabilityNoLHP, err = base.capabilityObs(sp, 60); err != nil {
-		return nil, err
-	}
-	prog.Step(1)
-	if s.CapabilityLHP, err = withLHP.capabilityObs(sp, 60); err != nil {
-		return nil, err
-	}
-	prog.Step(1)
-	if s.CapabilityTilt, err = tilted.capabilityObs(sp, 60); err != nil {
-		return nil, err
-	}
-	prog.Step(1)
-	s.ImprovementPct = (s.CapabilityLHP - s.CapabilityNoLHP) / s.CapabilityNoLHP * 100
-
-	p0, err := base.solveObs(sp, 40)
-	if err != nil {
-		return nil, err
-	}
-	prog.Step(1)
-	p1, err := withLHP.solveObs(sp, 40)
-	if err != nil {
-		return nil, err
-	}
-	prog.Step(1)
-	s.DeltaTNoLHP40W = p0.DeltaTK
-	s.DeltaTLHP40W = p1.DeltaTK
-	s.CoolingAt40W = p0.DeltaTK - p1.DeltaTK
-
-	p100, err := withLHP.solveObs(sp, 100)
-	if err != nil {
-		return nil, err
-	}
-	prog.Step(1)
-	s.LHPPowerAt100W = p100.LHPPower
-	return &s, nil
-}
-
-// Fig10Options bundles the execution controls of a Fig. 10 comparison:
-// the structural material under test plus the production knobs the
-// aeropackd service threads through every study — worker count,
-// keep-going degradation, a per-request solver budget and the
-// fault-injection seam.
+// Fig10Options bundles the inputs of a Fig. 10 comparison: the
+// structural material under test, the execution options every study
+// takes, a per-request solver budget and the fault-injection seam.
 type Fig10Options struct {
 	// Structure is the seat structural material (the paper's aluminium
-	// versus carbon-composite story).
+	// versus carbon-composite story; the zero value means Al6061).
 	Structure materials.Material
-	// Workers bounds the concurrent sub-studies (<= 0 means GOMAXPROCS).
-	Workers int
-	// KeepGoing converts sub-study failures into robust.PointError
-	// values with NaN summary fields instead of aborting the run.
-	KeepGoing bool
+	// Options bound the concurrent sub-studies and, with KeepGoing,
+	// turn sub-study failures into robust.PointError values with NaN
+	// summary fields instead of aborting the run.
+	robust.Options
 	// Stop, when non-nil, is installed on every sub-study configuration
 	// as the per-request solver budget (see Config.Stop).
 	Stop func() bool
@@ -642,13 +558,15 @@ type Fig10Options struct {
 	Fault func(powerW float64) error
 }
 
-// RunFig10Opts executes the full Fig. 10 comparison under the given
+// RunFig10Opts executes the full Fig. 10 comparison — the paper's
+// capability and 40 W / 100 W headline numbers — under the given
 // options.  The six independent sub-studies (three capability
 // bisections, three point solves) run concurrently; every task builds
 // its configurations from scratch, so nothing is shared and the summary
 // is bitwise-identical at any worker count.  Without KeepGoing the
 // first failure aborts with a nil summary; with it, failed sub-studies
-// yield NaN fields plus a robust.PointError each while surviving fields
+// yield NaN fields (and NaN for any field derived from them) plus a
+// robust.PointError each, named after the study, while surviving fields
 // stay bitwise-identical to the clean run's.
 func RunFig10Opts(o Fig10Options) (*Fig10Summary, []*robust.PointError, error) {
 	sp := obs.Start(nil, "cosee.RunFig10")
@@ -699,31 +617,18 @@ func RunFig10Opts(o Fig10Options) (*Fig10Summary, []*robust.PointError, error) {
 	}
 	prog := obs.CurrentBoard().Begin("cosee.RunFig10", len(tasks))
 	defer prog.Finish()
-	var vals []float64
-	var errs []*robust.PointError
-	if o.KeepGoing {
-		vals, errs = robust.MapKeepGoing(tasks, o.Workers,
-			func(_ int, s study) string { return s.label },
-			func(_ int, s study) (float64, error) {
-				v, err := s.fn()
-				prog.Step(1) // keep-going campaigns count failed studies as visited
-				return v, err
-			})
-		for _, pe := range errs {
-			vals[pe.Index] = math.NaN()
-		}
-	} else {
-		var err error
-		vals, err = parallel.Map(tasks, o.Workers, func(_ int, s study) (float64, error) {
+	vals, errs, err := robust.Map(tasks, o.Options,
+		func(_ int, s study) string { return s.label },
+		func(_ int, s study) (float64, error) {
 			v, err := s.fn()
-			if err == nil {
-				prog.Step(1)
-			}
+			prog.Step(1) // failed studies count as visited
 			return v, err
 		})
-		if err != nil {
-			return nil, nil, err
-		}
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, pe := range errs {
+		vals[pe.Index] = math.NaN()
 	}
 	s := Fig10Summary{
 		CapabilityNoLHP: vals[0],
@@ -736,30 +641,6 @@ func RunFig10Opts(o Fig10Options) (*Fig10Summary, []*robust.PointError, error) {
 	s.ImprovementPct = (s.CapabilityLHP - s.CapabilityNoLHP) / s.CapabilityNoLHP * 100
 	s.CoolingAt40W = s.DeltaTNoLHP40W - s.DeltaTLHP40W
 	return &s, errs, nil
-}
-
-// RunFig10Parallel computes the same summary as RunFig10 with the six
-// independent sub-studies (three capability bisections, three point
-// solves) evaluated concurrently across at most workers goroutines.
-// Every task builds its configurations from scratch, so nothing is
-// shared and the summary is identical to the serial one.
-func RunFig10Parallel(structure materials.Material, workers int) (*Fig10Summary, error) {
-	s, _, err := RunFig10Opts(Fig10Options{Structure: structure, Workers: workers})
-	return s, err
-}
-
-// RunFig10KeepGoing computes the Fig. 10 summary like RunFig10Parallel
-// but degrades gracefully: a failed sub-study yields NaN for its summary
-// field (and any field derived from it) plus a robust.PointError naming
-// the study, while every surviving field is bitwise-identical to the
-// clean run's.  fault, when non-nil, is installed as the FaultFn of
-// every sub-study configuration — the seam the golden robustness test
-// uses to fail one study; production callers pass nil.
-func RunFig10KeepGoing(structure materials.Material, workers int, fault func(powerW float64) error) (*Fig10Summary, []*robust.PointError) {
-	s, errs, _ := RunFig10Opts(Fig10Options{
-		Structure: structure, Workers: workers, KeepGoing: true, Fault: fault,
-	})
-	return s, errs
 }
 
 // FleetResult quantifies the paper's economic argument for passive

@@ -6,14 +6,18 @@ import (
 	"testing"
 
 	"aeropack/internal/materials"
+	"aeropack/internal/robust"
 	"aeropack/internal/units"
 )
+
+// serial runs a study's points one after another.
+var serial = robust.Options{Workers: 1}
 
 func TestNoLHPCurveShape(t *testing.T) {
 	// Fig. 10 "without LHP": monotone, sublinear-in-ΔT curve reaching
 	// ≈60 K at ≈40 W.
 	cfg := Config{}
-	pts, err := cfg.Sweep([]float64{10, 20, 30, 40, 50})
+	pts, _, err := cfg.Sweep([]float64{10, 20, 30, 40, 50}, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +46,7 @@ func TestFig10HeadlineNumbers(t *testing.T) {
 	// The paper's headline: 40 W → 100 W capability at constant PCB
 	// temperature (+150%), a 32 °C PCB temperature decrease at 40 W, and
 	// 58 W carried by the loops at 100 W SEB power.
-	s, err := RunFig10(materials.Al6061)
+	s, _, err := RunFig10Opts(Fig10Options{Structure: materials.Al6061, Options: serial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +69,7 @@ func TestFig10HeadlineNumbers(t *testing.T) {
 
 func TestTiltInsensitivity(t *testing.T) {
 	// Fig. 10: the 22° tilt curve hugs the horizontal curve.
-	s, err := RunFig10(materials.Al6061)
+	s, _, err := RunFig10Opts(Fig10Options{Structure: materials.Al6061, Options: serial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +83,11 @@ func TestCompositeSeat(t *testing.T) {
 	// §IV.A: carbon-composite structure — "results slightly under those
 	// obtained with aluminium": ≈70 W capability (+80%) and ≈20 K cooling
 	// at 40 W.
-	al, err := RunFig10(materials.Al6061)
+	al, _, err := RunFig10Opts(Fig10Options{Structure: materials.Al6061, Options: serial})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := RunFig10(materials.CarbonComposite)
+	cc, _, err := RunFig10Opts(Fig10Options{Structure: materials.CarbonComposite, Options: serial})
 	if err != nil {
 		t.Fatal(err)
 	}

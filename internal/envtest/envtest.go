@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"aeropack/internal/obs"
-	"aeropack/internal/parallel"
 	"aeropack/internal/reliability"
 	"aeropack/internal/robust"
 	"aeropack/internal/units"
@@ -237,60 +236,25 @@ func (c Campaign) RunThermalShock(a *Article) (Result, error) {
 	}, nil
 }
 
-// RunAll executes the full campaign in the paper's order.
-func (c Campaign) RunAll(a *Article) ([]Result, error) {
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	sp := obs.Start(nil, "envtest.RunAll")
-	defer sp.End()
-	sp.Attr("article", a.Name)
-	prog := obs.CurrentBoard().Begin("envtest.RunAll "+a.Name, 4)
-	defer prog.Finish()
-	var out []Result
-	for _, run := range []func(*Article) (Result, error){
-		c.RunAcceleration, c.RunVibration, c.RunClimatic, c.RunThermalShock,
-	} {
-		r, err := run(a)
-		if err != nil {
-			recordResults(out)
-			return out, err
-		}
-		out = append(out, r)
-		prog.Step(1)
-	}
-	recordResults(out)
-	return out, nil
-}
-
-// RunAllParallel executes the same four tests as RunAll across at most
-// workers goroutines (<= 0 means GOMAXPROCS), returning results in the
-// paper's order — identical to RunAll's on success, and with RunAll's
-// first error (lowest test index) on failure, though without the
-// partial-result prefix the serial driver returns.  The tests only read
+// Run executes the paper's four tests in order under o: the tests run
+// across at most o.Workers goroutines and the results come back in the
+// paper's order, identical at any worker count.  The tests only read
 // the article, but they all call a.DeltaTAt, so that callback must be
 // safe for concurrent use (pure functions and the cosee solvers are).
+// Without o.KeepGoing the first failing test (lowest index) aborts the
+// campaign.  With it, a failed test yields a robust.PointError labelled
+// with the test's short name plus a failed placeholder Result carrying
+// the error detail, every other test still runs, and an invalid article
+// is reported as the single PointError "validate".
+func (c Campaign) Run(a *Article, o robust.Options) ([]Result, []*robust.PointError, error) {
+	return run("envtest.RunAll", a, c.labelledRuns(), o)
+}
+
+// RunAllParallel is Run aborting on the first failure.  It stays
+// because the aeropackbench module, which pins its signature, calls it.
 func (c Campaign) RunAllParallel(a *Article, workers int) ([]Result, error) {
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	sp := obs.Start(nil, "envtest.RunAll")
-	defer sp.End()
-	sp.Attr("article", a.Name)
-	runs := []func(*Article) (Result, error){
-		c.RunAcceleration, c.RunVibration, c.RunClimatic, c.RunThermalShock,
-	}
-	prog := obs.CurrentBoard().Begin("envtest.RunAll "+a.Name, len(runs))
-	defer prog.Finish()
-	out, err := parallel.Map(runs, workers, func(_ int, run func(*Article) (Result, error)) (Result, error) {
-		r, err := run(a)
-		if err == nil {
-			prog.Step(1)
-		}
-		return r, err
-	})
-	recordResults(out)
-	return out, err
+	results, _, err := c.Run(a, robust.Options{Workers: workers})
+	return results, err
 }
 
 // labelledRun pairs a test with a stable short name so keep-going
@@ -309,57 +273,37 @@ func (c Campaign) labelledRuns() []labelledRun {
 	}
 }
 
-// runKeepGoing executes labelled tests with per-test error capture: a
-// failed test yields a robust.PointError plus a failed placeholder
-// Result carrying the error detail, and every other test still runs.
-func runKeepGoing(spanName string, a *Article, runs []labelledRun, workers int) ([]Result, []*robust.PointError) {
+// run is the one campaign runner behind Campaign.Run and Extended.Run.
+func run(spanName string, a *Article, runs []labelledRun, o robust.Options) ([]Result, []*robust.PointError, error) {
 	if err := a.Validate(); err != nil {
-		return nil, []*robust.PointError{{Index: 0, Label: "validate", Err: err}}
+		if o.KeepGoing {
+			return nil, []*robust.PointError{{Index: 0, Label: "validate", Err: err}}, nil
+		}
+		return nil, nil, err
 	}
 	sp := obs.Start(nil, spanName)
 	defer sp.End()
 	sp.Attr("article", a.Name)
-	sp.Attr("keep_going", "true")
+	if o.KeepGoing {
+		sp.Attr("keep_going", "true")
+	}
 	prog := obs.CurrentBoard().Begin(spanName+" "+a.Name, len(runs))
 	defer prog.Finish()
-	out, errs := robust.MapKeepGoing(runs, workers,
+	out, errs, err := robust.Map(runs, o,
 		func(_ int, r labelledRun) string { return r.label },
 		func(_ int, r labelledRun) (Result, error) {
 			res, err := r.run(a)
-			prog.Step(1) // keep-going campaigns count failed tests as visited
+			prog.Step(1) // failed tests count as visited
 			return res, err
 		})
+	if err != nil {
+		return nil, nil, err
+	}
 	for _, pe := range errs {
 		out[pe.Index] = Result{Test: runs[pe.Index].label, Detail: "ERROR: " + pe.Err.Error()}
 	}
 	recordResults(out)
-	return out, errs
-}
-
-// RunAllKeepGoing executes the same four tests as RunAllParallel but a
-// failed test no longer aborts the campaign: it is returned as a
-// robust.PointError (labelled with the test's short name) plus a failed
-// placeholder Result, and the surviving results are identical to
-// RunAllParallel's.
-func (c Campaign) RunAllKeepGoing(a *Article, workers int) ([]Result, []*robust.PointError) {
-	return runKeepGoing("envtest.RunAll", a, c.labelledRuns(), workers)
-}
-
-// QualifyFleet runs the campaign over a batch of articles, one worker
-// per article (bounded by workers; <= 0 means GOMAXPROCS).  Each
-// article's tests execute serially in the paper's order, so per-article
-// results are exactly RunAll's; the first failing article (by slice
-// index) aborts the batch with its error.
-func (c Campaign) QualifyFleet(articles []*Article, workers int) ([][]Result, error) {
-	prog := obs.CurrentBoard().Begin("envtest.QualifyFleet", len(articles))
-	defer prog.Finish()
-	return parallel.Map(articles, workers, func(_ int, a *Article) ([]Result, error) {
-		r, err := c.RunAll(a)
-		if err == nil {
-			prog.Step(1)
-		}
-		return r, err
-	})
+	return out, errs, nil
 }
 
 // AllPass reports whether every result passed.

@@ -5,8 +5,14 @@ import (
 	"testing"
 
 	"aeropack/internal/cosee"
+	"aeropack/internal/robust"
 	"aeropack/internal/units"
 )
+
+// serial runs a campaign's tests one after another: sebArticle's
+// thermal hook shares one cosee.Config and is not safe for concurrent
+// calls.
+var serial = robust.Options{Workers: 1}
 
 // sebArticle builds the COSEE SEB+seat assembly as a qualification
 // article, its thermal hook backed by the cosee network model.
@@ -63,7 +69,7 @@ func TestSEBPassesFullCampaign(t *testing.T) {
 	// The paper: "the seats have been submitted to all the different
 	// tests without damage".  Our virtual article must reproduce that.
 	a := sebArticle()
-	results, err := DefaultCampaign().RunAll(a)
+	results, _, err := DefaultCampaign().Run(a, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +199,8 @@ func TestArticleValidation(t *testing.T) {
 	}
 	a = sebArticle()
 	a.MassKg = -1
-	if _, err := DefaultCampaign().RunAll(a); err == nil {
-		t.Error("RunAll on invalid article should error")
+	if _, _, err := DefaultCampaign().Run(a, serial); err == nil {
+		t.Error("Run on invalid article should error")
 	}
 }
 
@@ -220,7 +226,7 @@ func TestVibrationUnknownCurve(t *testing.T) {
 	if _, err := c.RunVibration(sebArticle()); err == nil {
 		t.Error("unknown DO-160 curve should error")
 	}
-	if _, err := c.RunAll(sebArticle()); err == nil {
-		t.Error("RunAll should propagate the curve error")
+	if _, _, err := c.Run(sebArticle(), serial); err == nil {
+		t.Error("Run should propagate the curve error")
 	}
 }

@@ -20,7 +20,7 @@ func TestExtendedDefaults(t *testing.T) {
 }
 
 func TestExtendedSEBPassesAll(t *testing.T) {
-	results, err := DefaultExtended().RunAll(sebArticle())
+	results, _, err := DefaultExtended().Run(sebArticle(), serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestExtendedValidation(t *testing.T) {
 	if _, err := DefaultExtended().RunSineSweep(bad); err == nil {
 		t.Error("invalid article should error")
 	}
-	if _, err := DefaultExtended().RunAll(bad); err == nil {
+	if _, _, err := DefaultExtended().Run(bad, serial); err == nil {
 		t.Error("invalid article should error")
 	}
 }

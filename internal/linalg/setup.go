@@ -9,25 +9,16 @@ import (
 	"aeropack/internal/obs"
 )
 
-// SolverSetup caches the reusable parts of iterative solves across the
-// near-identical systems aeropack's workloads produce: a Fig. 10 sweep
-// re-solves the same network topology at dozens of power points, a
-// transient stepper refactors the same operator pattern every step, and
-// benchmark or campaign loops re-solve bitwise-identical systems
-// outright.  It mirrors the content-hash trick of the lint result cache
-// (same inputs → cached output) at the linear-algebra layer:
-//
-//   - Preconditioner cache: keyed by (kind, structure hash, value hash).
-//     Matrices sharing a sparsity pattern reuse the symbolic IC(0)
-//     factorization; matrices identical in values reuse the finished
-//     preconditioner.  Cached preconditioners are immutable once handed
-//     out — a refresh never mutates an instance another goroutine may be
-//     applying — so one setup can serve concurrent sweep workers.
-//   - Result cache: keyed by the full solve content (method label,
-//     matrix structure and values, right-hand side, warm-start vector,
-//     tolerance).  A hit therefore returns a solution bitwise-identical
-//     to the one re-running the deterministic solver would produce,
-//     preserving aeropack's serial-vs-parallel identity guarantees.
+// SolverSetup caches preconditioners across the near-identical systems
+// aeropack's workloads produce: a Fig. 10 sweep re-solves the same
+// network topology at dozens of power points, and a transient stepper
+// refactors the same operator pattern every step.  Entries are keyed by
+// (kind, structure hash, value hash): matrices sharing a sparsity
+// pattern reuse the symbolic IC(0) factorization, and matrices
+// identical in values reuse the finished preconditioner.  Cached
+// preconditioners are immutable once handed out — a refresh never
+// mutates an instance another goroutine may be applying — so one setup
+// can serve concurrent sweep workers.
 //
 // Both caches are bounded FIFO; eviction order is deterministic (no map
 // iteration), keeping campaign runs reproducible.  All methods are safe
@@ -38,17 +29,13 @@ type SolverSetup struct {
 	symKeys []uint64
 	precs   map[precKey]Preconditioner
 	precOrd []precKey
-	results map[SolveKey]*cachedSolve
-	resOrd  []SolveKey
 }
 
-// setupMaxPrecs / setupMaxResults bound the FIFO caches; sweeps touch a
-// handful of patterns and the result cache only pays off for exact
-// repeats, so small bounds keep memory predictable.
+// setupMaxSyms / setupMaxPrecs bound the FIFO caches; sweeps touch a
+// handful of patterns, so small bounds keep memory predictable.
 const (
-	setupMaxSyms    = 8
-	setupMaxPrecs   = 16
-	setupMaxResults = 32
+	setupMaxSyms  = 8
+	setupMaxPrecs = 16
 )
 
 type precKey struct {
@@ -58,27 +45,17 @@ type precKey struct {
 	structH2, valH2 uint64
 }
 
-// SolveKey identifies one exact solve content; obtain it from Cached and
-// pass it back to Store.
-type SolveKey struct{ h1, h2 uint64 }
-
-type cachedSolve struct {
-	x     []float64
-	stats IterStats
-}
-
 // NewSolverSetup returns an empty setup cache.
 func NewSolverSetup() *SolverSetup {
 	return &SolverSetup{
-		syms:    make(map[uint64]*icSymbolic),
-		precs:   make(map[precKey]Preconditioner),
-		results: make(map[SolveKey]*cachedSolve),
+		syms:  make(map[uint64]*icSymbolic),
+		precs: make(map[precKey]Preconditioner),
 	}
 }
 
 // contentHash is a pair of independent 64-bit word mixers (splitmix-style
 // finalisation), giving an effectively 128-bit content key: byte-wise
-// FNV would walk the ~2.4 MB a big finite-volume solve hashes one byte
+// FNV would walk the ~2.4 MB a big finite-volume matrix hashes one byte
 // at a time, this walks it one word at a time.
 type contentHash struct{ a, b uint64 }
 
@@ -104,22 +81,6 @@ func (h *contentHash) floats(xs []float64) {
 	h.word(uint64(len(xs)))
 	for _, x := range xs {
 		h.word(math.Float64bits(x))
-	}
-}
-
-func (h *contentHash) str(s string) {
-	h.word(uint64(len(s)))
-	var w uint64
-	var nb uint
-	for i := 0; i < len(s); i++ {
-		w |= uint64(s[i]) << nb
-		if nb += 8; nb == 64 {
-			h.word(w)
-			w, nb = 0, 0
-		}
-	}
-	if nb > 0 {
-		h.word(w)
 	}
 }
 
@@ -228,78 +189,4 @@ func (s *SolverSetup) PrecFor(kind string, a *CSR, omega float64) (Preconditione
 	}
 	s.mu.Unlock()
 	return p, nil
-}
-
-// Key digests one solve's full content: the solver/chain label (which
-// must encode anything else that alters the iterate sequence, e.g. the
-// preconditioner kind and relaxation factor), the matrix, right-hand
-// side, warm-start vector and tolerance.  nil and zero-valued x0 hash
-// differently, matching their different CG trajectories.
-func (s *SolverSetup) Key(label string, a *CSR, b, x0 []float64, tol float64) SolveKey {
-	h := newContentHash()
-	h.str(label)
-	h.word(uint64(a.Rows))
-	h.word(uint64(a.Cols))
-	h.ints(a.RowPtr)
-	h.ints(a.ColIdx)
-	h.floats(a.Val)
-	h.floats(b)
-	if x0 == nil {
-		h.word(0)
-	} else {
-		h.word(1)
-		h.floats(x0)
-	}
-	h.word(math.Float64bits(tol))
-	return SolveKey{h1: h.a, h2: h.b}
-}
-
-// Cached returns the stored solution for key, if any.  The returned
-// slice is a private copy — callers may mutate it freely.  A hit bumps
-// linalg_setup_result_hits_total but records no solver iterations: the
-// solver_iters metrics count work actually performed.
-func (s *SolverSetup) Cached(key SolveKey) ([]float64, IterStats, bool) {
-	s.mu.Lock()
-	e, ok := s.results[key]
-	s.mu.Unlock()
-	if !ok {
-		if r := obs.Default(); r != nil {
-			r.Counter("linalg_setup_result_misses_total").Inc()
-		}
-		if rec := obs.CurrentRecorder(); rec != nil {
-			rec.Record("cache", "result_miss")
-		}
-		return nil, IterStats{}, false
-	}
-	if r := obs.Default(); r != nil {
-		r.Counter("linalg_setup_result_hits_total").Inc()
-	}
-	if rec := obs.CurrentRecorder(); rec != nil {
-		rec.Record("cache", "result_hit")
-	}
-	out := make([]float64, len(e.x))
-	copy(out, e.x)
-	return out, e.stats, true
-}
-
-// Store records a converged solution under key.  The solution is copied;
-// callers keep ownership of x.  Non-converged or failed solves must not
-// be stored — a cached entry asserts "this exact system solves to this
-// exact vector".
-func (s *SolverSetup) Store(key SolveKey, x []float64, stats IterStats) {
-	if !stats.Converged {
-		return
-	}
-	cp := make([]float64, len(x))
-	copy(cp, x)
-	s.mu.Lock()
-	if _, ok := s.results[key]; !ok {
-		s.resOrd = append(s.resOrd, key)
-		s.results[key] = &cachedSolve{x: cp, stats: stats}
-		if len(s.resOrd) > setupMaxResults {
-			delete(s.results, s.resOrd[0])
-			s.resOrd = s.resOrd[1:]
-		}
-	}
-	s.mu.Unlock()
 }

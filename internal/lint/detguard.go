@@ -4,7 +4,7 @@
 // guarantee dies the moment a worker body reads the wall clock, draws
 // from math/rand, or iterates a map (whose order differs run to run).
 // The rule inspects every function literal passed to parallel.For,
-// parallel.Blocks, parallel.Map and robust.MapKeepGoing and flags those
+// parallel.Blocks, parallel.Map and robust.Map and flags those
 // three nondeterminism sources inside it, including in nested literals.
 package lint
 
@@ -25,7 +25,7 @@ var detguardEntries = []detguardEntry{
 	{"/internal/parallel", "For"},
 	{"/internal/parallel", "Blocks"},
 	{"/internal/parallel", "Map"},
-	{"/internal/robust", "MapKeepGoing"},
+	{"/internal/robust", "Map"},
 }
 
 type detguardRule struct{}
@@ -35,7 +35,7 @@ func init() { Register(detguardRule{}) }
 func (detguardRule) Name() string { return "detguard" }
 
 func (detguardRule) Doc() string {
-	return "no time.Now/math/rand/map-range inside closures passed to parallel.For/Blocks/Map or robust.MapKeepGoing (breaks the bitwise serial-vs-parallel guarantee)"
+	return "no time.Now/math/rand/map-range inside closures passed to parallel.For/Blocks/Map or robust.Map (breaks the bitwise serial-vs-parallel guarantee)"
 }
 
 func (detguardRule) Check(p *Package) []Finding {

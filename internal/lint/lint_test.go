@@ -21,6 +21,15 @@ func loadTestPackage(t *testing.T, path, importPath string) *Package {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return loadTestPackageWith(t, l, path, importPath)
+}
+
+// loadTestPackageWith is loadTestPackage on a caller-owned loader, so
+// several testdata sources can share one load of their dependencies.
+// The testdata package itself is type-checked outside the loader and
+// never enters its package set.
+func loadTestPackageWith(t *testing.T, l *Loader, path, importPath string) *Package {
+	t.Helper()
 	f, err := parser.ParseFile(l.Fset, path, nil, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
@@ -64,13 +73,20 @@ func ruleByName(t *testing.T, name string) Rule {
 // surviving findings (after //lint:allow filtering) against a golden
 // file.  Every source demonstrates at least one flagged violation and
 // one suppressed line; run with -update to regenerate.
+//
+// One Loader serves every case, so the module's packages are
+// type-checked once rather than once per case.  Each case therefore
+// gathers facts over every package earlier cases pulled in as well; the
+// cases run a second time in reverse order against the same loader to
+// show the findings do not depend on which packages were loaded first.
 func TestGolden(t *testing.T) {
-	cases := []struct {
+	type goldenCase struct {
 		name       string
 		rule       string
 		src        string
 		importPath string
-	}{
+	}
+	cases := []goldenCase{
 		{"unitsafety", "unitsafety", "testdata/unitsafety_src.go", "aeropack/internal/thermal"},
 		{"unitsafety_fact", "unitsafety", "testdata/unitsafety_fact_src.go", "aeropack/internal/cosee"},
 		{"floatcmp", "floatcmp", "testdata/floatcmp_src.go", "aeropack/internal/thermal"},
@@ -91,9 +107,13 @@ func TestGolden(t *testing.T) {
 		{"lockorder", "lockorder", "testdata/lockorder_src.go", "aeropack/internal/cosee"},
 		{"atomicmix", "atomicmix", "testdata/atomicmix_src.go", "aeropack/internal/cosee"},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p := loadTestPackage(t, tc.src, tc.importPath)
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(tc goldenCase) func(*testing.T) {
+		return func(t *testing.T) {
+			p := loadTestPackageWith(t, l, tc.src, tc.importPath)
 			findings := RunRules([]*Package{p}, []Rule{ruleByName(t, tc.rule)})
 			var b strings.Builder
 			for _, f := range findings {
@@ -139,8 +159,16 @@ func TestGolden(t *testing.T) {
 					}
 				}
 			}
-		})
+		}
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, check(tc))
+	}
+	t.Run("reverse", func(t *testing.T) {
+		for i := len(cases) - 1; i >= 0; i-- {
+			t.Run(cases[i].name, check(cases[i]))
+		}
+	})
 }
 
 // TestRulesRegistered pins the rule set: all fifteen analyzers register

@@ -5,6 +5,7 @@ import (
 
 	"aeropack/internal/cosee"
 	"aeropack/internal/obs"
+	"aeropack/internal/robust"
 )
 
 // TestObsGoldenFig10SpanTree pins the span tree produced by a fixed,
@@ -21,7 +22,7 @@ func TestObsGoldenFig10SpanTree(t *testing.T) {
 		prev := obs.SetTracer(tr)
 		defer obs.SetTracer(prev)
 		cfg := cosee.Config{UseLHP: true}
-		if _, err := cfg.Sweep([]float64{20, 60}); err != nil {
+		if _, _, err := cfg.Sweep([]float64{20, 60}, robust.Options{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 		return tr.TreeString()
@@ -77,36 +78,19 @@ func TestObsGoldenCapabilityMetrics(t *testing.T) {
 	}
 }
 
-// TestObsGoldenSetupCacheMetrics pins the solver-setup cache counter
-// contract from PR 7: a serial sweep with a repeated power point must
-// reuse the shared preconditioner setup (linalg_setup_prec_reuse_total),
-// miss the result cache once per distinct linear system and hit it for
-// every system the duplicate point repeats — and the hit/miss split must
-// reconcile exactly with the CG solves actually run, since a result-cache
-// hit skips the Krylov loop entirely.
+// TestObsGoldenSetupCacheMetrics pins the solver-setup counter contract
+// from PR 7: a serial sweep with a repeated power point must reuse the
+// shared preconditioner setup (linalg_setup_prec_reuse_total).
 func TestObsGoldenSetupCacheMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	prev := obs.SetDefault(reg)
 	defer obs.SetDefault(prev)
 
 	cfg := cosee.Config{UseLHP: true}
-	if _, err := cfg.Sweep([]float64{20, 20, 40}); err != nil {
+	if _, _, err := cfg.Sweep([]float64{20, 20, 40}, robust.Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	hits := reg.Counter("linalg_setup_result_hits_total").Value()
-	misses := reg.Counter("linalg_setup_result_misses_total").Value()
-	reuse := reg.Counter("linalg_setup_prec_reuse_total").Value()
-	cg := reg.Counter("linalg_cg_solves_total").Value()
-	if hits < 1 {
-		t.Errorf("linalg_setup_result_hits_total = %d, want ≥1 (the duplicate 20 W point repeats identical systems)", hits)
-	}
-	if misses < 1 {
-		t.Errorf("linalg_setup_result_misses_total = %d, want ≥1", misses)
-	}
-	if cg != misses {
-		t.Errorf("linalg_cg_solves_total = %d, want %d: every miss runs CG, every hit skips it", cg, misses)
-	}
-	if reuse < 1 {
+	if reuse := reg.Counter("linalg_setup_prec_reuse_total").Value(); reuse < 1 {
 		t.Errorf("linalg_setup_prec_reuse_total = %d, want ≥1 (sweep points share the IC(0) setup)", reuse)
 	}
 	// A healthy network never degrades its preconditioner: both PR-7

@@ -126,12 +126,12 @@ func TestFaultyStallDeterministicAcrossWorkers(t *testing.T) {
 		items[i] = i
 	}
 	run := func(workers int) []int {
-		out, errs := MapKeepGoing(items, workers, nil, func(i, v int) (int, error) {
+		out, errs, err := Map(items, Options{Workers: workers, KeepGoing: true}, nil, func(i, v int) (int, error) {
 			stall(i)
 			return v * v, nil
 		})
-		if len(errs) != 0 {
-			t.Fatalf("unexpected errors: %v", errs)
+		if len(errs) != 0 || err != nil {
+			t.Fatalf("unexpected errors: %v, %v", errs, err)
 		}
 		return out
 	}

@@ -15,16 +15,17 @@ import (
 
 	"aeropack/internal/cosee"
 	"aeropack/internal/materials"
+	"aeropack/internal/robust"
 )
 
 var errInjected = errors.New("injected CG failure")
 
-func TestGoldenFig10SweepKeepGoing(t *testing.T) {
+func TestGoldenFig10KeepGoingSweep(t *testing.T) {
 	powers := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110}
 	const failIdx = 5 // the 60 W point
 
 	clean := cosee.Config{UseLHP: true, Structure: materials.Al6061}
-	want, err := clean.SweepParallel(powers, 4)
+	want, _, err := clean.Sweep(powers, robust.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,10 @@ func TestGoldenFig10SweepKeepGoing(t *testing.T) {
 			}
 			return nil
 		}}
-	got, errs := faulty.SweepKeepGoing(powers, 4)
+	got, errs, err := faulty.Sweep(powers, robust.Options{Workers: 4, KeepGoing: true})
+	if err != nil {
+		t.Fatalf("keep-going sweep returned a run error: %v", err)
+	}
 
 	if len(errs) != 1 {
 		t.Fatalf("got %d point errors, want exactly 1: %v", len(errs), errs)
@@ -73,8 +77,10 @@ func TestGoldenFig10SweepKeepGoing(t *testing.T) {
 	}
 }
 
-func TestGoldenRunFig10KeepGoing(t *testing.T) {
-	want, err := cosee.RunFig10Parallel(materials.Al6061, 4)
+func TestGoldenFig10KeepGoingSummary(t *testing.T) {
+	want, _, err := cosee.RunFig10Opts(cosee.Fig10Options{
+		Structure: materials.Al6061, Options: robust.Options{Workers: 4},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +88,19 @@ func TestGoldenRunFig10KeepGoing(t *testing.T) {
 	// Only the LHP-power sub-study solves at exactly 100 W (the
 	// capability bisections probe 1, 400 and fractional midpoints), so
 	// this fault fails exactly one of the six sub-studies.
-	got, errs := cosee.RunFig10KeepGoing(materials.Al6061, 4, func(p float64) error {
-		if p == 100 {
-			return errInjected
-		}
-		return nil
+	got, errs, err := cosee.RunFig10Opts(cosee.Fig10Options{
+		Structure: materials.Al6061,
+		Options:   robust.Options{Workers: 4, KeepGoing: true},
+		Fault: func(p float64) error {
+			if p == 100 {
+				return errInjected
+			}
+			return nil
+		},
 	})
+	if err != nil {
+		t.Fatalf("keep-going Fig. 10 returned a run error: %v", err)
+	}
 
 	if len(errs) != 1 {
 		t.Fatalf("got %d study errors, want exactly 1: %v", len(errs), errs)

@@ -14,10 +14,11 @@
 //     retry), each attempt bounded by an iteration cap and a wall-clock
 //     budget, with every fallback recorded via internal/obs spans and
 //     the solver_fallbacks counter.
-//   - MapKeepGoing runs a campaign across the internal/parallel pool and
-//     converts each failed point into a typed *PointError positioned in
-//     the result set, so the surviving points are exactly — bitwise —
-//     what an all-success run would have produced.
+//   - Map runs a campaign across the internal/parallel pool under one
+//     Options value; with KeepGoing it converts each failed point into a
+//     typed *PointError positioned in the result set, so the surviving
+//     points are exactly — bitwise — what an all-success run would have
+//     produced.
 //   - The Faulty* constructors build deterministic, seed-driven faults
 //     (perturbed matrices, NaN/Inf-poisoned right-hand sides, forced
 //     solver bailout, stalled pool workers) so tests can exercise every
@@ -75,18 +76,37 @@ func FirstError(errs []*PointError) *PointError {
 	return first
 }
 
-// MapKeepGoing evaluates fn over items across at most workers goroutines
-// (<= 0 means GOMAXPROCS) like parallel.Map, but a failed item no longer
-// aborts the batch: its error is captured as a *PointError and every
-// other item still runs.  out[i] is fn(i, items[i]) when no PointError
-// carries Index i, and the zero value otherwise, so successful points
-// are bitwise-identical to an abort-on-error run's.  label, if non-nil,
-// names each point for reports.  Worker panics (the linalg contract
-// checks) still propagate.  Captured failures are counted on the
-// robust_point_errors_total counter.
-func MapKeepGoing[T, R any](items []T, workers int, label func(i int, item T) string, fn func(i int, item T) (R, error)) ([]R, []*PointError) {
+// Options are the execution controls every multi-point study entry
+// takes: how many workers evaluate its points and whether a failed
+// point aborts the run.
+type Options struct {
+	// Workers bounds the concurrent points (<= 0 means GOMAXPROCS, 1 the
+	// inline serial path); results are identical at any count.
+	Workers int
+	// KeepGoing turns each failed point into a *PointError and runs
+	// every other point, instead of aborting on the first failure.
+	KeepGoing bool
+}
+
+// Map evaluates fn over items across at most o.Workers goroutines and
+// returns the results in input order.  Without o.KeepGoing it is
+// parallel.Map: no item starts after a failure, and the error a serial
+// scan would have hit first comes back as the third result.  With
+// o.KeepGoing a failed item no longer aborts the batch: its error is
+// captured as a *PointError and every other item still runs.  out[i] is
+// then fn(i, items[i]) when no PointError carries Index i, and the zero
+// value otherwise, so successful points are bitwise-identical to a
+// clean run's.  label, if non-nil, names each failed point for reports.
+// Worker panics (the linalg contract checks) propagate in both modes.
+// Captured failures are counted on the robust_point_errors_total
+// counter.
+func Map[T, R any](items []T, o Options, label func(i int, item T) string, fn func(i int, item T) (R, error)) ([]R, []*PointError, error) {
+	if !o.KeepGoing {
+		out, err := parallel.Map(items, o.Workers, fn)
+		return out, nil, err
+	}
 	perPoint := make([]*PointError, len(items))
-	out, _ := parallel.Map(items, workers, func(i int, item T) (R, error) {
+	out, _ := parallel.Map(items, o.Workers, func(i int, item T) (R, error) {
 		r, err := fn(i, item)
 		if err != nil {
 			pe := &PointError{Index: i, Err: err}
@@ -108,5 +128,5 @@ func MapKeepGoing[T, R any](items []T, workers int, label func(i int, item T) st
 	if len(errs) > 0 {
 		obs.Default().Counter("robust_point_errors_total").Add(int64(len(errs)))
 	}
-	return out, errs
+	return out, errs, nil
 }

@@ -8,25 +8,52 @@ import (
 	"testing"
 )
 
-func TestMapKeepGoingClean(t *testing.T) {
+func TestMapClean(t *testing.T) {
 	items := []float64{1, 2, 3, 4}
-	out, errs := MapKeepGoing(items, 2, nil, func(_ int, v float64) (float64, error) {
-		return v * 10, nil
-	})
-	if len(errs) != 0 {
-		t.Fatalf("unexpected errors: %v", errs)
-	}
-	for i, v := range out {
-		if v != items[i]*10 {
-			t.Errorf("out[%d] = %v, want %v", i, v, items[i]*10)
+	for _, o := range []Options{{Workers: 2}, {Workers: 2, KeepGoing: true}} {
+		out, errs, err := Map(items, o, nil, func(_ int, v float64) (float64, error) {
+			return v * 10, nil
+		})
+		if len(errs) != 0 || err != nil {
+			t.Fatalf("%+v: unexpected errors: %v, %v", o, errs, err)
+		}
+		for i, v := range out {
+			if v != items[i]*10 {
+				t.Errorf("%+v: out[%d] = %v, want %v", o, i, v, items[i]*10)
+			}
 		}
 	}
 }
 
-func TestMapKeepGoingCapturesFailures(t *testing.T) {
+// TestMapStrictReturnsLowestError pins the mode without KeepGoing: the
+// run aborts with the error a serial scan would hit first, at any
+// worker count, and captures no PointError.
+func TestMapStrictReturnsLowestError(t *testing.T) {
 	reg := withRegistry(t)
 	items := []int{0, 1, 2, 3, 4, 5}
-	out, errs := MapKeepGoing(items, 3,
+	for _, workers := range []int{1, 4} {
+		out, errs, err := Map(items, Options{Workers: workers}, nil, func(_ int, v int) (int, error) {
+			if v%2 == 1 {
+				return 0, fmt.Errorf("odd item %d", v)
+			}
+			return v, nil
+		})
+		if err == nil || err.Error() != "odd item 1" {
+			t.Errorf("workers %d: err = %v, want odd item 1", workers, err)
+		}
+		if out != nil || errs != nil {
+			t.Errorf("workers %d: out = %v, errs = %v, want both nil", workers, out, errs)
+		}
+	}
+	if got := reg.Counter("robust_point_errors_total").Value(); got != 0 {
+		t.Errorf("robust_point_errors_total = %d, want 0 without KeepGoing", got)
+	}
+}
+
+func TestMapCapturesFailures(t *testing.T) {
+	reg := withRegistry(t)
+	items := []int{0, 1, 2, 3, 4, 5}
+	out, errs, err := Map(items, Options{Workers: 3, KeepGoing: true},
 		func(i int, v int) string { return fmt.Sprintf("item-%d", v) },
 		func(_ int, v int) (int, error) {
 			if v%2 == 1 {
@@ -34,6 +61,9 @@ func TestMapKeepGoingCapturesFailures(t *testing.T) {
 			}
 			return v * v, nil
 		})
+	if err != nil {
+		t.Fatalf("KeepGoing returned a run error: %v", err)
+	}
 	if len(errs) != 3 {
 		t.Fatalf("got %d errors, want 3: %v", len(errs), errs)
 	}
@@ -62,13 +92,16 @@ func TestMapKeepGoingCapturesFailures(t *testing.T) {
 	}
 }
 
-func TestMapKeepGoingSurvivorsBitwiseIdentical(t *testing.T) {
+func TestMapSurvivorsBitwiseIdentical(t *testing.T) {
 	powers := []float64{1.1, 2.2, 3.3, 4.4, 5.5}
 	solve := func(p float64) float64 { return math.Sqrt(p) * math.Exp(-p/3) }
-	clean, _ := MapKeepGoing(powers, 4, nil, func(_ int, p float64) (float64, error) {
+	clean, _, err := Map(powers, Options{Workers: 4}, nil, func(_ int, p float64) (float64, error) {
 		return solve(p), nil
 	})
-	faulty, errs := MapKeepGoing(powers, 4, nil, func(i int, p float64) (float64, error) {
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, errs, _ := Map(powers, Options{Workers: 4, KeepGoing: true}, nil, func(i int, p float64) (float64, error) {
 		if i == 2 {
 			return 0, errors.New("injected")
 		}
@@ -88,15 +121,16 @@ func TestMapKeepGoingSurvivorsBitwiseIdentical(t *testing.T) {
 	}
 }
 
-func TestMapKeepGoingPanicsPropagate(t *testing.T) {
+func TestMapPanicsPropagate(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("worker panic must propagate, not be captured as a PointError")
 		}
 	}()
-	MapKeepGoing([]int{0}, 1, nil, func(int, int) (int, error) {
+	_, _, err := Map([]int{0}, Options{Workers: 1, KeepGoing: true}, nil, func(int, int) (int, error) {
 		panic("contract violation")
 	})
+	t.Fatalf("Map returned (err %v) instead of panicking", err)
 }
 
 func TestPointErrorFormatting(t *testing.T) {

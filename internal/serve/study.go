@@ -468,6 +468,7 @@ func pointErrsJSON(errs []*robust.PointError) []PointErrorJSON {
 // by the server.
 func executeStudy(req *StudyRequest, workers int) (*StudyResponse, *StudyError) {
 	stop := req.Budget.stop()
+	opts := robust.Options{Workers: workers, KeepGoing: req.KeepGoing}
 	resp := &StudyResponse{Schema: ResponseSchema, Kind: req.Kind}
 	switch req.Kind {
 	case "fig10":
@@ -481,8 +482,7 @@ func executeStudy(req *StudyRequest, workers int) (*StudyResponse, *StudyError) 
 		}
 		sum, perrs, err := cosee.RunFig10Opts(cosee.Fig10Options{
 			Structure: structure,
-			Workers:   workers,
-			KeepGoing: req.KeepGoing,
+			Options:   opts,
 			Stop:      stop,
 		})
 		if err != nil {
@@ -504,11 +504,8 @@ func executeStudy(req *StudyRequest, workers int) (*StudyResponse, *StudyError) 
 		if err != nil {
 			return nil, studyErr(400, CodeBadRequest, "serve: %v", err)
 		}
-		var points []cosee.Point
-		var perrs []*robust.PointError
-		if req.KeepGoing {
-			points, perrs = cfg.SweepKeepGoing(req.Sweep.PowersW, workers)
-		} else if points, err = cfg.SweepParallel(req.Sweep.PowersW, workers); err != nil {
+		points, perrs, err := cfg.Sweep(req.Sweep.PowersW, opts)
+		if err != nil {
 			return nil, engineErr(err)
 		}
 		resp.Sweep = make([]SweepPointJSON, len(points))
@@ -556,24 +553,11 @@ func executeStudy(req *StudyRequest, workers int) (*StudyResponse, *StudyError) 
 		if serr != nil {
 			return nil, serr
 		}
-		var results []envtest.Result
-		var perrs []*robust.PointError
-		var err error
+		run := envtest.DefaultCampaign().Run
 		if req.Qualification.Extended {
-			ext := envtest.DefaultExtended()
-			if req.KeepGoing {
-				results, perrs = ext.RunAllKeepGoing(art, workers)
-			} else {
-				results, err = ext.RunAllParallel(art, workers)
-			}
-		} else {
-			camp := envtest.DefaultCampaign()
-			if req.KeepGoing {
-				results, perrs = camp.RunAllKeepGoing(art, workers)
-			} else {
-				results, err = camp.RunAllParallel(art, workers)
-			}
+			run = envtest.DefaultExtended().Run
 		}
+		results, perrs, err := run(art, opts)
 		if err != nil {
 			return nil, engineErr(err)
 		}
@@ -594,14 +578,8 @@ func executeStudy(req *StudyRequest, workers int) (*StudyResponse, *StudyError) 
 		if req.Study.ScreenAmbientC != 0 {
 			screen.AmbientC = req.Study.ScreenAmbientC
 		}
-		var rep *core.Report
-		var perrs []*robust.PointError
-		if req.KeepGoing {
-			rep, perrs = core.StudyKeepGoing(board, screen)
-			if rep == nil {
-				return nil, engineErr(robust.FirstError(perrs))
-			}
-		} else if rep, err = core.Study(board, screen); err != nil {
+		rep, perrs, err := core.StudyOpts(board, screen, opts)
+		if err != nil {
 			return nil, engineErr(err)
 		}
 		resp.Study = studyResultJSON(rep)

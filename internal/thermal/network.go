@@ -33,11 +33,11 @@ type Network struct {
 	// to the process-global tracer.
 	Obs *obs.Span
 
-	// Setup, when non-nil, caches preconditioner factors and exact-repeat
-	// solve results across solve calls.  Sweep drivers (internal/cosee)
-	// install one shared setup on every network they build for the same
-	// configuration, so near-identical bisection and sweep points reuse
-	// the IC(0) symbolic pattern and factors instead of re-deriving them.
+	// Setup, when non-nil, caches preconditioner factors across solve
+	// calls.  Sweep drivers (internal/cosee) install one shared setup on
+	// every network they build for the same configuration, so
+	// near-identical bisection and sweep points reuse the IC(0) symbolic
+	// pattern and factors instead of re-deriving them.
 	// Safe for concurrent solves; nil means each solve call builds a
 	// private one.
 	Setup *linalg.SolverSetup
@@ -45,11 +45,8 @@ type Network struct {
 	// Stop, when non-nil, is the per-request budget seam: it is forwarded
 	// to every linear solve's linalg.IterOptions.Stop (through the robust
 	// chain) and polled between Picard passes.  Returning true aborts the
-	// solve with an error wrapping linalg.ErrStopped.  Budgeted solves
-	// skip the exact-result cache — a cache hit would never poll the
-	// callback, hiding fault-injection stops (the same reasoning as
-	// thermal.SolveOptions).  Must be safe for concurrent calls when the
-	// network is solved from a parallel sweep.
+	// solve with an error wrapping linalg.ErrStopped.  Must be safe for
+	// concurrent calls when the network is solved from a parallel sweep.
 	Stop func() bool
 }
 
@@ -333,8 +330,8 @@ func (n *Network) solveSteady(tolK float64, maxIter int, warm *NetworkState) (*S
 
 // solveLinear solves the network with frozen resistances.  sp parents
 // the fallback spans when the primary solve fails; x0 (may be nil) warm
-// starts the iteration and setup carries the preconditioner/result
-// caches shared across passes and sweep points.
+// starts the iteration and setup carries the preconditioner cache
+// shared across passes and sweep points.
 func (n *Network) solveLinear(sp *obs.Span, rs []float64, x0 []float64, setup *linalg.SolverSetup) ([]float64, error) {
 	num := len(n.labels)
 	coo := linalg.NewCOO(num, num)
@@ -379,17 +376,6 @@ func (n *Network) solveLinear(sp *obs.Span, rs []float64, x0 []float64, setup *l
 
 	a := coo.ToCSR()
 	tol := 1e-12
-	// Budgeted solves bypass the exact-result cache: a hit would return
-	// without ever polling Stop, so a fault-injection or budget callback
-	// could never observe the solve (mirrors thermal.SolveOptions).
-	useCache := setup != nil && n.Stop == nil
-	var key linalg.SolveKey
-	if useCache {
-		key = setup.Key("network:cg-ic0", a, b, x0, tol)
-		if x, _, ok := setup.Cached(key); ok {
-			return x, nil
-		}
-	}
 	// Network matrices are symmetric positive definite after Dirichlet
 	// elimination; IC(0) is near-exact on their mostly tree-like graphs,
 	// so the warm-started CG converges in a handful of iterations.  On
@@ -400,7 +386,7 @@ func (n *Network) solveLinear(sp *obs.Span, rs []float64, x0 []float64, setup *l
 	chain.Span = sp
 	chain.Setup = setup
 	chain.Stop = n.Stop
-	x, out, err := chain.Solve(a, b, x0)
+	x, _, err := chain.Solve(a, b, x0)
 	if err != nil {
 		// A tripped budget must surface as ErrStopped, not be papered
 		// over by the dense last resort.
@@ -414,9 +400,6 @@ func (n *Network) solveLinear(sp *obs.Span, rs []float64, x0 []float64, setup *l
 			}
 		}
 		return nil, err
-	}
-	if useCache && out.AttemptUsed == 0 && !out.Relaxed {
-		setup.Store(key, x, out.Stats)
 	}
 	return x, nil
 }

@@ -8,6 +8,7 @@ import (
 	"aeropack/internal/materials"
 	"aeropack/internal/obs"
 	"aeropack/internal/parallel"
+	"aeropack/internal/robust"
 	"aeropack/internal/thermal"
 )
 
@@ -38,7 +39,9 @@ func TestSolverPerfGuard(t *testing.T) {
 		reg := obs.NewRegistry()
 		prev := obs.SetDefault(reg)
 		defer obs.SetDefault(prev)
-		if _, err := cosee.RunFig10(materials.Al6061); err != nil {
+		if _, _, err := cosee.RunFig10Opts(cosee.Fig10Options{
+			Structure: materials.Al6061, Options: robust.Options{Workers: 1},
+		}); err != nil {
 			t.Fatal(err)
 		}
 		iters := reg.Counter("linalg_solver_iterations_total").Value()
